@@ -10,8 +10,11 @@
 //!    segments of `λ ≤ log₂ n` bits; all `2^λ` candidate values of a segment
 //!    are evaluated simultaneously (each candidate by a responsible node)
 //!    and the argmin is fixed in `O(1)` rounds, instead of `Θ(λ)` rounds of
-//!    bit-by-bit fixing. The input coloring is the node ids (`K = n`), so no
-//!    Linial step is needed.
+//!    bit-by-bit fixing. The segment loop is
+//!    [`dcl_coloring::derand_step::fix_seed_by_segments`], shared with the
+//!    MPC drivers; this module supplies the candidate score and charges the
+//!    clique's per-segment rounds. The input coloring is the node ids
+//!    (`K = n`), so no Linial step is needed.
 //! 3. **Accelerating batches + final collect** — once at most `n/2^i` nodes
 //!    remain uncolored, the routing headroom fixes `i` prefix bits per
 //!    `O(1)`-round batch (implemented via `2^i`-ary digits with quantile
@@ -25,11 +28,10 @@
 //! clique/MPC presentation of the paper.
 
 use crate::network::CliqueNetwork;
-use dcl_coloring::derand_step::accuracy_bits;
+use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments};
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
-use dcl_derand::seed::PartialSeed;
-use dcl_derand::slice::{coin_threshold, PackedForms, SliceFamily};
+use dcl_derand::slice::{coin_threshold, SliceFamily};
 use dcl_sim::{ExecConfig, Wire};
 
 /// Configuration of the clique coloring.
@@ -232,7 +234,6 @@ pub fn clique_color(
         let extra = (delta_act as u64 + 1).saturating_mul(1 << width);
         let b = accuracy_bits(delta_act, residual.color_bits(), extra);
         let family = SliceFamily::new(m_bits, b);
-        let seed_len = family.seed_len();
         let lambda = config.segment_bits.min(m_bits).max(1);
 
         let mut state = PrefixState::new(&residual, &active);
@@ -266,82 +267,32 @@ pub fn clique_color(
             // so the round stretches by the per-word fragment factor.
             net.charge_rounds(u64::from(net.cap().fragments(64)));
 
-            // Segmented derandomization of the shared seed. Forms are kept
-            // directly in the kernels' packed SoA layout: the per-candidate
-            // scratch below then clones one flat allocation (instead of n
-            // nested `Vec`s) and the interval DP consumes it without a
-            // per-call pack step.
-            let mut seed = PartialSeed::new(seed_len);
-            let empty = PackedForms::from_forms(&[]);
-            let mut forms: Vec<PackedForms> = (0..n)
-                .map(|v| {
-                    if active[v] {
-                        family.packed_forms_for(&seed, psi[v])
-                    } else {
-                        empty.clone()
-                    }
-                })
-                .collect();
+            // Segmented derandomization of the shared seed. All 2^λ
+            // candidates of a segment are evaluated simultaneously — one
+            // responsible node each in the real clique, the backend pool
+            // here — and the argmin is fixed in O(1) rounds
+            // (responsible-node evaluation + leader argmin + broadcast; the
+            // word-sized scores fragment at sub-word caps).
             let edges = state.conflict_edges();
-            let mut start = 0usize;
-            while start < seed_len {
-                let end = (start + lambda as usize).min(seed_len);
-                let candidates = 1usize << (end - start);
-                // All 2^λ candidate values are evaluated simultaneously —
-                // one responsible node each in the real clique, the backend
-                // pool here. Each candidate's score is computed with the
-                // sequential float-operation order and the argmin breaks
-                // ties toward the lower candidate, so the winning segment is
-                // bit-identical across backends.
-                let score = |cand: usize| -> f64 {
-                    let cand = cand as u64;
-                    // Candidate forms: base forms with the segment fixed.
-                    let mut scratch: Vec<PackedForms> = forms.clone();
-                    for (offset, j) in (start..end).enumerate() {
-                        let bit = cand >> offset & 1 == 1;
-                        for v in 0..n {
-                            if active[v] {
-                                family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                            }
+            let seed = fix_seed_by_segments(net.pool(), &family, &psi, &active, lambda, |forms| {
+                let mut total = 0.0f64;
+                for &(u, v) in &edges {
+                    for a in 0..digits {
+                        let (ul, uh) = (thresholds[u][a], thresholds[u][a + 1]);
+                        let (vl, vh) = (thresholds[v][a], thresholds[v][a + 1]);
+                        if uh == ul || vh == vl {
+                            continue;
                         }
-                    }
-                    let mut total = 0.0f64;
-                    for &(u, v) in &edges {
-                        for a in 0..digits {
-                            let (ul, uh) = (thresholds[u][a], thresholds[u][a + 1]);
-                            let (vl, vh) = (thresholds[v][a], thresholds[v][a + 1]);
-                            if uh == ul || vh == vl {
-                                continue;
-                            }
-                            let p = dcl_kernels::digit_dp::joint_interval_packed(
-                                &scratch[u],
-                                ul,
-                                uh,
-                                &scratch[v],
-                                vl,
-                                vh,
-                            );
-                            total += p * (inv[u][a] + inv[v][a]);
-                        }
-                    }
-                    total
-                };
-                let (_, winner) = dcl_sim::argmin_f64(net.pool(), candidates, score);
-                // Fix the winning segment; O(1) rounds (responsible-node
-                // evaluation + leader argmin + broadcast; the word-sized
-                // scores fragment at sub-word caps).
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = (winner as u64) >> offset & 1 == 1;
-                    seed.fix(j, bit);
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                        }
+                        let p = dcl_kernels::digit_dp::joint_interval_packed(
+                            &forms[u], ul, uh, &forms[v], vl, vh,
+                        );
+                        total += p * (inv[u][a] + inv[v][a]);
                     }
                 }
-                net.charge_rounds(2 + 2 * u64::from(net.cap().fragments(64)));
-                start = end;
-            }
+                total
+            });
+            let segments = family.seed_len().div_ceil(lambda as usize) as u64;
+            net.charge_rounds(segments * (2 + 2 * u64::from(net.cap().fragments(64))));
 
             // Apply digits and update the conflict graph (one round).
             for v in 0..n {
@@ -360,15 +311,7 @@ pub fn clique_color(
         net.charge_rounds(1);
         let mut newly = Vec::new();
         for v in 0..n {
-            if !active[v] {
-                continue;
-            }
-            let keeps = match state.conflict_neighbors(v) {
-                [] => true,
-                [w] => state.conflict_degree(*w) > 1 || v > *w,
-                _ => false,
-            };
-            if keeps {
+            if state.avoid_mis_keeps(v) {
                 newly.push((v, state.candidate_color(&residual, v)));
             }
         }

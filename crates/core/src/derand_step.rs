@@ -22,6 +22,11 @@
 //! `2 · max{log K, b}` but has no efficiently computable conditional
 //! expectations); all potential invariants are preserved with
 //! `ε = 2^{-b}`.
+//!
+//! The CONGESTED CLIQUE and MPC drivers derandomize the same coin family a
+//! whole segment at a time instead: [`fix_seed_by_segments`] takes the
+//! argmin over all `2^λ` values of the next `λ` seed bits, so a seed costs
+//! `⌈seed_len / λ⌉` segment steps rather than `seed_len` bit steps.
 
 use crate::instance::ListInstance;
 use crate::prefix::PrefixState;
@@ -29,8 +34,9 @@ use dcl_congest::bfs::BfsForest;
 use dcl_congest::network::Network;
 use dcl_congest::tree::{aggregate_vec_forest_charged, broadcast_forest_charged};
 use dcl_derand::seed::PartialSeed;
-use dcl_derand::slice::{coin_threshold, BitForm, SliceFamily};
+use dcl_derand::slice::{coin_threshold, BitForm, PackedForms, SliceFamily};
 use dcl_kernels::digit_dp::EdgeDpCache;
+use dcl_sim::Pool;
 
 /// Outcome of one derandomized phase.
 #[derive(Debug, Clone)]
@@ -126,6 +132,81 @@ pub fn accuracy_bits(max_degree: usize, color_bits: u32, extra: u64) -> u32 {
         "accuracy parameter b = {b} unreasonably large; check instance parameters"
     );
     b.max(1)
+}
+
+/// Fixes every bit of `family`'s shared seed, `λ` bits at a time, by
+/// minimizing `score` — the segment-parallel derandomization of the
+/// CONGESTED CLIQUE and MPC drivers (Section 4; `DESIGN.md` §2.6).
+///
+/// The seed is walked in segments `[start, min(start + λ, seed_len))`.
+/// Candidate `c` of a segment sets seed bit `start + i` to bit `i` of `c`;
+/// `score` receives every node's packed forms with the segment applied
+/// (inactive nodes hold empty forms) and returns the candidate's expected
+/// cost. All `2^λ` candidates are scored through `pool`, the lowest score
+/// wins and ties go to the lowest candidate ([`dcl_sim::argmin_f64`]), so
+/// the seed is bit-identical across backends whenever `score` is a
+/// deterministic function of the forms. The winning bits are then fixed in
+/// both the seed and the forms the next segment starts from.
+///
+/// Rounds are the caller's: `seed_len.div_ceil(λ)` segments times the
+/// host model's per-segment cost.
+///
+/// # Panics
+///
+/// Panics if `lambda` is 0 or `psi` and `active` differ in length.
+pub fn fix_seed_by_segments<F>(
+    pool: Option<&Pool>,
+    family: &SliceFamily,
+    psi: &[u64],
+    active: &[bool],
+    lambda: u32,
+    score: F,
+) -> PartialSeed
+where
+    F: Fn(&[PackedForms]) -> f64 + Sync,
+{
+    assert!(lambda >= 1, "segment length must be at least one bit");
+    assert_eq!(psi.len(), active.len(), "psi and mask lengths differ");
+    let seed_len = family.seed_len();
+    let mut seed = PartialSeed::new(seed_len);
+    let empty = PackedForms::from_forms(&[]);
+    let mut forms: Vec<PackedForms> = psi
+        .iter()
+        .zip(active)
+        .map(|(&x, &on)| {
+            if on {
+                family.packed_forms_for(&seed, x)
+            } else {
+                empty.clone()
+            }
+        })
+        .collect();
+    let mut start = 0usize;
+    while start < seed_len {
+        let end = (start + lambda as usize).min(seed_len);
+        // Seed bit `start + offset` takes bit `offset` of the candidate.
+        let apply = |forms: &mut [PackedForms], cand: usize| {
+            for (offset, j) in (start..end).enumerate() {
+                let bit = cand >> offset & 1 == 1;
+                for ((f, &x), &on) in forms.iter_mut().zip(psi).zip(active) {
+                    if on {
+                        family.update_packed_on_fix(f, x, j, bit);
+                    }
+                }
+            }
+        };
+        let (_, winner) = dcl_sim::argmin_f64(pool, 1 << (end - start), |cand| {
+            let mut scratch = forms.clone();
+            apply(&mut scratch, cand);
+            score(&scratch)
+        });
+        apply(&mut forms, winner);
+        for (offset, j) in (start..end).enumerate() {
+            seed.fix(j, winner >> offset & 1 == 1);
+        }
+        start = end;
+    }
+    seed
 }
 
 /// Runs one derandomized prefix-extension phase for all active nodes.
@@ -453,6 +534,77 @@ mod tests {
         let height = u64::from(forest.max_height());
         let expected = out.seed_len as u64 * (2 * height + 1) + 2;
         assert_eq!(used, expected);
+    }
+
+    /// Candidate score over a ring of the active nodes: the probability
+    /// that both endpoints flip the same coin, edge weight `1 + i/8`.
+    fn ring_score(active: &[bool], t: u64) -> impl Fn(&[PackedForms]) -> f64 + Sync + '_ {
+        move |forms| {
+            let on: Vec<usize> = (0..active.len()).filter(|&v| active[v]).collect();
+            let mut total = 0.0;
+            for (i, &u) in on.iter().enumerate() {
+                let v = on[(i + 1) % on.len()];
+                let p = dcl_kernels::digit_dp::joint_coin_probs_packed(&forms[u], t, &forms[v], t);
+                total += (p[0] + p[3]) * (1.0 + i as f64 / 8.0);
+            }
+            total
+        }
+    }
+
+    #[test]
+    fn one_segment_finds_the_lowest_global_argmin() {
+        // seed_len = 2 · (2 + 1) = 6: all 64 seeds are scored exhaustively.
+        let family = SliceFamily::new(2, 2);
+        let seed_len = family.seed_len();
+        let psi = [0u64, 1, 2, 3, 1];
+        let active = [true, true, false, true, true];
+        let t = coin_threshold(1, 2, 2);
+        let score = ring_score(&active, t);
+        // A fully fixed seed makes every coin certain, so many seeds tie:
+        // the lowest one must win.
+        let mut best = (f64::INFINITY, 0u64);
+        let mut scores = Vec::new();
+        for value in 0..1u64 << seed_len {
+            let seed = PartialSeed::from_u64(seed_len, value);
+            let forms: Vec<PackedForms> = psi
+                .iter()
+                .zip(&active)
+                .map(|(&x, &on)| {
+                    if on {
+                        family.packed_forms_for(&seed, x)
+                    } else {
+                        PackedForms::from_forms(&[])
+                    }
+                })
+                .collect();
+            let s = score(&forms);
+            if s < best.0 {
+                best = (s, value);
+            }
+            scores.push(s);
+        }
+        assert!(scores.iter().filter(|&&s| s == best.0).count() > 1);
+        let expected = PartialSeed::from_u64(seed_len, best.1);
+        for lambda in [seed_len as u32, seed_len as u32 + 3] {
+            let seed = fix_seed_by_segments(None, &family, &psi, &active, lambda, &score);
+            assert_eq!(seed, expected, "lambda {lambda}");
+        }
+    }
+
+    #[test]
+    fn segments_are_bit_identical_across_backends() {
+        let family = SliceFamily::new(4, 3);
+        let psi: Vec<u64> = (0..12).map(|v| (v * 5 + 3) % 16).collect();
+        let active: Vec<bool> = (0..12).map(|v| v % 5 != 2).collect();
+        let t = coin_threshold(2, 5, 3);
+        let score = ring_score(&active, t);
+        let pool = dcl_sim::Pool::new(2);
+        for lambda in 1..=3 {
+            let sequential = fix_seed_by_segments(None, &family, &psi, &active, lambda, &score);
+            let pooled = fix_seed_by_segments(Some(&pool), &family, &psi, &active, lambda, &score);
+            assert!(sequential.is_complete(), "lambda {lambda}");
+            assert_eq!(sequential, pooled, "lambda {lambda}");
+        }
     }
 
     #[test]

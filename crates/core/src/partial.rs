@@ -169,16 +169,7 @@ pub fn partial_coloring(
             // graph on eligible nodes is a matching).
             let _ = net.fragmented_broadcast_round(|v| if eligible[v] { Some(1u8) } else { None });
             (0..n)
-                .map(|v| {
-                    if !eligible[v] {
-                        return false;
-                    }
-                    match state.conflict_neighbors(v) {
-                        [] => true,
-                        [w] => !eligible[*w] || v > *w,
-                        _ => false,
-                    }
-                })
+                .map(|v| eligible[v] && state.avoid_mis_keeps(v))
                 .collect()
         }
     };

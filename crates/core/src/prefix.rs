@@ -244,6 +244,18 @@ impl PrefixState {
         self.conflict_adj[v].len()
     }
 
+    /// MIS-avoidance keep rule of Section 4: an active node keeps its
+    /// candidate if it has no conflict, or if its one conflict neighbor `w`
+    /// is in several conflicts (and so drops out) or has the smaller id.
+    pub fn avoid_mis_keeps(&self, v: NodeId) -> bool {
+        self.active[v]
+            && match self.conflict_neighbors(v) {
+                [] => true,
+                [w] => self.conflict_degree(*w) > 1 || v > *w,
+                _ => false,
+            }
+    }
+
     /// All conflict edges `(u, v)` with `u < v` between active nodes.
     pub fn conflict_edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut edges = Vec::new();

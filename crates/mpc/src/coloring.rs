@@ -4,9 +4,11 @@
 //! Section 4.
 //!
 //! Both drivers share the candidate-selection core (bitwise prefix
-//! extension with segment-wise seed derandomization, exactly as in the
-//! clique — the models differ in *where* data lives and what a round may
-//! move, which is captured by the cost events charged to the simulator):
+//! extension with segment-wise seed derandomization through
+//! [`dcl_coloring::derand_step::fix_seed_by_segments`], the routine the
+//! clique uses too — the models differ in *where* data lives and what a
+//! round may move, which is captured by the rounds charged per segment and
+//! per phase):
 //!
 //! - **linear** (`S = Θ̃(n)`): a node's whole neighborhood and list live on
 //!   one machine; per seed segment, machines aggregate candidate vectors
@@ -20,10 +22,9 @@
 
 use crate::machine::{Mpc, MpcMetrics};
 use crate::tools;
-use dcl_coloring::derand_step::accuracy_bits;
+use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments};
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
-use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::{coin_threshold, PackedForms, SliceFamily};
 use dcl_graphs::NodeId;
 
@@ -72,10 +73,10 @@ pub struct SelectionCosts {
 }
 
 /// One derandomized bitwise candidate selection over all active nodes,
-/// charged to `mpc` per `costs`. The `2^λ` segment candidates are evaluated
+/// charged to `mpc` per `costs`. Each phase's seed is fixed by
+/// [`fix_seed_by_segments`]: the `2^λ` candidates of a segment are scored
 /// through the cluster's backend pool (free local computation in the MPC
-/// cost model), with the deterministic argmin of [`dcl_sim::argmin_f64`] —
-/// bit-identical to the sequential evaluation.
+/// cost model), bit-identical to the sequential evaluation.
 #[allow(clippy::too_many_arguments)]
 fn bitwise_selection(
     mpc: &mut Mpc,
@@ -89,7 +90,7 @@ fn bitwise_selection(
 ) -> PrefixState {
     let n = residual.graph().n();
     let family = SliceFamily::new(m_bits, b);
-    let seed_len = family.seed_len();
+    let segments = family.seed_len().div_ceil(lambda as usize) as u64;
     let mut state = PrefixState::new(residual, active);
     while state.remaining_bits() > 0 {
         mpc.charge_rounds(costs.phase_rounds);
@@ -112,60 +113,21 @@ fn bitwise_selection(
         let mut k1_inv = vec![0.0f64; n];
         dcl_kernels::ratio::recip_batch(&k0, &mut k0_inv);
         dcl_kernels::ratio::recip_batch(&k1, &mut k1_inv);
-        // Forms live in the kernels' packed SoA layout: per-candidate
-        // scratch is one flat clone, and the coin DP runs pack-free.
-        let mut seed = PartialSeed::new(seed_len);
-        let empty = PackedForms::from_forms(&[]);
-        let mut forms: Vec<PackedForms> = (0..n)
-            .map(|v| {
-                if active[v] {
-                    family.packed_forms_for(&seed, psi[v])
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
         let edges = state.conflict_edges();
-        let mut start = 0usize;
-        while start < seed_len {
-            let end = (start + lambda as usize).min(seed_len);
-            let candidates = 1usize << (end - start);
-            let score = |cand: usize| -> f64 {
-                let cand = cand as u64;
-                let mut scratch = forms.clone();
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = cand >> offset & 1 == 1;
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                        }
-                    }
-                }
-                let mut total = 0.0;
-                for &(u, v) in &edges {
-                    let p = dcl_kernels::digit_dp::joint_coin_probs_packed(
-                        &scratch[u],
-                        thresholds[u],
-                        &scratch[v],
-                        thresholds[v],
-                    );
-                    total += p[3] * (k1_inv[u] + k1_inv[v]) + p[0] * (k0_inv[u] + k0_inv[v]);
-                }
-                total
-            };
-            let (_, winner) = dcl_sim::argmin_f64(mpc.pool(), candidates, score);
-            for (offset, j) in (start..end).enumerate() {
-                let bit = (winner as u64) >> offset & 1 == 1;
-                seed.fix(j, bit);
-                for v in 0..n {
-                    if active[v] {
-                        family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                    }
-                }
+        let seed = fix_seed_by_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
+            let mut total = 0.0;
+            for &(u, v) in &edges {
+                let p = dcl_kernels::digit_dp::joint_coin_probs_packed(
+                    &forms[u],
+                    thresholds[u],
+                    &forms[v],
+                    thresholds[v],
+                );
+                total += p[3] * (k1_inv[u] + k1_inv[v]) + p[0] * (k0_inv[u] + k0_inv[v]);
             }
-            mpc.charge_rounds(costs.segment_rounds);
-            start = end;
-        }
+            total
+        });
+        mpc.charge_rounds(segments * costs.segment_rounds);
         for v in 0..n {
             if active[v] {
                 let z = family.evaluate(&seed, psi[v]);
@@ -176,23 +138,6 @@ fn bitwise_selection(
         state.finish_phase();
     }
     state
-}
-
-/// MIS-avoidance keep rule: conflict-free nodes keep; matched pairs keep the
-/// larger id.
-fn avoid_mis_keeps(state: &PrefixState, active: &[bool], n: usize) -> Vec<bool> {
-    (0..n)
-        .map(|v| {
-            if !active[v] {
-                return false;
-            }
-            match state.conflict_neighbors(v) {
-                [] => true,
-                [w] => state.conflict_degree(*w) > 1 || v > *w,
-                _ => false,
-            }
-        })
-        .collect()
 }
 
 /// Theorem 1.4: `(degree+1)`-list coloring with linear memory
@@ -291,10 +236,8 @@ pub fn mpc_color_linear_with(
                 segment_rounds: 2,
             },
         );
-        let keeps = avoid_mis_keeps(&state, &active, n);
         mpc.charge_rounds(2); // keep decision + color announcements
         apply_keeps(
-            &keeps,
             &state,
             &mut residual,
             &mut active,
@@ -434,10 +377,8 @@ pub fn mpc_color_sublinear_with(
                 segment_rounds: 2 * tree_depth,
             },
         );
-        let keeps = avoid_mis_keeps(&state, &active, n);
         mpc.charge_rounds(2);
         let newly = apply_keeps(
-            &keeps,
             &state,
             &mut residual,
             &mut active,
@@ -537,7 +478,6 @@ fn run_finisher(
             (delta_act as u64 + 1) * (delta_act as u64 + 1),
         );
         let family = SliceFamily::new(m_bits, b);
-        let seed_len = family.seed_len();
         // Quantile thresholds over each node's full list.
         let mut thresholds: Vec<Vec<u64>> = vec![Vec::new(); n];
         for v in 0..n {
@@ -547,62 +487,19 @@ fn run_finisher(
             }
         }
         mpc.charge_rounds(2 * tree_depth); // lists meet at edge machines
-        let mut seed = PartialSeed::new(seed_len);
-        let empty = PackedForms::from_forms(&[]);
-        let mut forms: Vec<PackedForms> = (0..n)
-            .map(|v| {
-                if active[v] {
-                    family.packed_forms_for(&seed, psi[v])
-                } else {
-                    empty.clone()
-                }
-            })
-            .collect();
-        // Conflict edges = all active-active edges (fresh selection).
+                                           // Conflict edges = all active-active edges (fresh selection).
         let g = residual.graph().clone();
         let edges: Vec<(NodeId, NodeId)> =
             g.edges().filter(|&(u, v)| active[u] && active[v]).collect();
-        let mut start = 0usize;
-        while start < seed_len {
-            let end = (start + lambda as usize).min(seed_len);
-            let candidates = 1usize << (end - start);
-            let score = |cand: usize| -> f64 {
-                let cand = cand as u64;
-                let mut scratch = forms.clone();
-                for (offset, j) in (start..end).enumerate() {
-                    let bit = cand >> offset & 1 == 1;
-                    for v in 0..n {
-                        if active[v] {
-                            family.update_packed_on_fix(&mut scratch[v], psi[v], j, bit);
-                        }
-                    }
-                }
-                let mut total = 0.0;
-                for &(u, v) in &edges {
-                    total += edge_conflict_expectation(
-                        residual,
-                        u,
-                        v,
-                        &scratch[u],
-                        &scratch[v],
-                        &thresholds,
-                    );
-                }
-                total
-            };
-            let (_, winner) = dcl_sim::argmin_f64(mpc.pool(), candidates, score);
-            for (offset, j) in (start..end).enumerate() {
-                let bit = (winner as u64) >> offset & 1 == 1;
-                seed.fix(j, bit);
-                for v in 0..n {
-                    if active[v] {
-                        family.update_packed_on_fix(&mut forms[v], psi[v], j, bit);
-                    }
-                }
+        let seed = fix_seed_by_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
+            let mut total = 0.0;
+            for &(u, v) in &edges {
+                total +=
+                    edge_conflict_expectation(residual, u, v, &forms[u], &forms[v], &thresholds);
             }
-            mpc.charge_rounds(2 * tree_depth);
-            start = end;
-        }
+            total
+        });
+        mpc.charge_rounds(family.seed_len().div_ceil(lambda as usize) as u64 * 2 * tree_depth);
         // Apply: every active node picks the list color of its quantile.
         let mut chosen: Vec<Option<u64>> = vec![None; n];
         for v in 0..n {
@@ -645,7 +542,7 @@ fn run_finisher(
         }
         mpc.charge_rounds(1);
         for &(v, c) in &newly {
-            for &u in residual.graph().clone().neighbors(v) {
+            for &u in g.neighbors(v) {
                 if active[u] {
                     residual.remove_color(u, c);
                 }
@@ -723,20 +620,19 @@ fn max_active_degree(residual: &ListInstance, active: &[bool]) -> usize {
         .unwrap_or(0)
 }
 
-/// Applies the keep decisions: records colors, deactivates nodes, prunes
-/// neighbor lists. Returns the newly colored `(node, color)` pairs.
+/// Applies the MIS-avoidance keep rule ([`PrefixState::avoid_mis_keeps`]):
+/// records colors, deactivates nodes, prunes neighbor lists. Returns the
+/// newly colored `(node, color)` pairs.
 fn apply_keeps(
-    keeps: &[bool],
     state: &PrefixState,
     residual: &mut ListInstance,
     active: &mut [bool],
     colors: &mut [Option<u64>],
     uncolored: &mut usize,
 ) -> Vec<(NodeId, u64)> {
-    let n = keeps.len();
     let mut newly = Vec::new();
-    for v in 0..n {
-        if keeps[v] {
+    for v in 0..active.len() {
+        if state.avoid_mis_keeps(v) {
             newly.push((v, state.candidate_color(residual, v)));
         }
     }
