@@ -12,9 +12,11 @@
 //!    and the argmin is fixed in `O(1)` rounds, instead of `Θ(λ)` rounds of
 //!    bit-by-bit fixing. The segment loop is
 //!    [`dcl_coloring::derand_step::fix_seed_by_segments`], shared with the
-//!    MPC drivers; this module supplies the candidate score and charges the
-//!    clique's per-segment rounds. The input coloring is the node ids
-//!    (`K = n`), so no Linial step is needed.
+//!    MPC drivers; this module emits the score's digit-DP queries (the four
+//!    joint-CDF corners of every digit interval of every conflict edge),
+//!    folds their values into the candidate score in edge and digit order,
+//!    and charges the clique's per-segment rounds. The input coloring is
+//!    the node ids (`K = n`), so no Linial step is needed.
 //! 3. **Accelerating batches + final collect** — once at most `n/2^i` nodes
 //!    remain uncolored, the routing headroom fixes `i` prefix bits per
 //!    `O(1)`-round batch (implemented via `2^i`-ary digits with quantile
@@ -28,10 +30,11 @@
 //! clique/MPC presentation of the paper.
 
 use crate::network::CliqueNetwork;
-use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments};
+use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments, DpQuery};
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
 use dcl_derand::slice::{coin_threshold, SliceFamily};
+use dcl_kernels::digit_dp::segment::interval;
 use dcl_sim::{ExecConfig, Wire};
 
 /// Configuration of the clique coloring.
@@ -272,25 +275,40 @@ pub fn clique_color(
             // responsible node each in the real clique, the backend pool
             // here — and the argmin is fixed in O(1) rounds
             // (responsible-node evaluation + leader argmin + broadcast; the
-            // word-sized scores fragment at sub-word caps).
+            // word-sized scores fragment at sub-word caps). A candidate's
+            // work is the four joint-CDF corners of every digit interval of
+            // every conflict edge; the leader folds each interval's
+            // probability, weighted by both endpoints' inverse digit
+            // counts, into the running total in edge and digit order.
             let edges = state.conflict_edges();
-            let seed = fix_seed_by_segments(net.pool(), &family, &psi, &active, lambda, |forms| {
-                let mut total = 0.0f64;
-                for &(u, v) in &edges {
-                    for a in 0..digits {
-                        let (ul, uh) = (thresholds[u][a], thresholds[u][a + 1]);
-                        let (vl, vh) = (thresholds[v][a], thresholds[v][a + 1]);
-                        if uh == ul || vh == vl {
-                            continue;
-                        }
-                        let p = dcl_kernels::digit_dp::joint_interval_packed(
-                            &forms[u], ul, uh, &forms[v], vl, vh,
-                        );
-                        total += p * (inv[u][a] + inv[v][a]);
+            let mut queries = Vec::new();
+            let mut weights = Vec::new();
+            for &(u, v) in &edges {
+                for a in 0..digits {
+                    let (ul, uh) = (thresholds[u][a], thresholds[u][a + 1]);
+                    let (vl, vh) = (thresholds[v][a], thresholds[v][a + 1]);
+                    if uh == ul || vh == vl {
+                        continue;
                     }
+                    queries.extend(DpQuery::interval_corners(u, [ul, uh], v, [vl, vh]));
+                    weights.push(inv[u][a] + inv[v][a]);
                 }
-                total
-            });
+            }
+            let seed = fix_seed_by_segments(
+                net.pool(),
+                &family,
+                &psi,
+                &active,
+                lambda,
+                &queries,
+                |values| {
+                    let (corners, _) = values.as_chunks::<4>();
+                    corners
+                        .iter()
+                        .zip(&weights)
+                        .fold(0.0, |total, (&j, w)| total + interval(j) * w)
+                },
+            );
             let segments = family.seed_len().div_ceil(lambda as usize) as u64;
             net.charge_rounds(segments * (2 + 2 * u64::from(net.cap().fragments(64))));
 

@@ -26,7 +26,14 @@
 //! The CONGESTED CLIQUE and MPC drivers derandomize the same coin family a
 //! whole segment at a time instead: [`fix_seed_by_segments`] takes the
 //! argmin over all `2^λ` values of the next `λ` seed bits, so a seed costs
-//! `⌈seed_len / λ⌉` segment steps rather than `seed_len` bit steps.
+//! `⌈seed_len / λ⌉` segment steps rather than `seed_len` bit steps. A
+//! driver states its candidate score as digit-DP [`DpQuery`] terms (the
+//! local work of its responsible nodes or machines) plus a `combine` over
+//! their values (the leader's deterministic reduce). The routine evaluates
+//! the queries incrementally: per segment it builds each query's DP state
+//! over the untouched digits above the segment and compiles the fixed
+//! digits below it once, and per candidate it resumes only the touched
+//! digits (`dcl_kernels::digit_dp::segment`; `DESIGN.md` §2.6).
 
 use crate::instance::ListInstance;
 use crate::prefix::PrefixState;
@@ -35,8 +42,10 @@ use dcl_congest::network::Network;
 use dcl_congest::tree::{aggregate_vec_forest_charged, broadcast_forest_charged};
 use dcl_derand::seed::PartialSeed;
 use dcl_derand::slice::{coin_threshold, BitForm, PackedForms, SliceFamily};
+use dcl_kernels::digit_dp::segment::{JointSplit, MarginalSplit};
 use dcl_kernels::digit_dp::EdgeDpCache;
 use dcl_sim::Pool;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Outcome of one derandomized phase.
 #[derive(Debug, Clone)]
@@ -134,39 +143,174 @@ pub fn accuracy_bits(max_degree: usize, color_bits: u32, extra: u64) -> u32 {
     b.max(1)
 }
 
+/// One digit-DP term of a segment score: a probability over the shared
+/// seed that only reads the coin forms of the nodes it names. Each node
+/// `v` draws `z_v = h(psi[v])` from the coin family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DpQuery {
+    /// `Pr[z_u < a ∧ z_v < c]`.
+    Joint {
+        /// First node.
+        u: usize,
+        /// Threshold of `z_u` (up to `2^b` inclusive).
+        a: u64,
+        /// Second node.
+        v: usize,
+        /// Threshold of `z_v` (up to `2^b` inclusive).
+        c: u64,
+    },
+    /// `Pr[z_v < t]`.
+    Marginal {
+        /// The node.
+        v: usize,
+        /// Threshold (up to `2^b` inclusive).
+        t: u64,
+    },
+}
+
+impl DpQuery {
+    /// The four joint-CDF corners of `Pr[z_u ∈ [ul, uh) ∧ z_v ∈ [vl, vh)]`
+    /// in the order [`dcl_kernels::digit_dp::segment::interval`] combines
+    /// them.
+    #[must_use]
+    pub fn interval_corners(
+        u: usize,
+        [ul, uh]: [u64; 2],
+        v: usize,
+        [vl, vh]: [u64; 2],
+    ) -> [Self; 4] {
+        let joint = |a, c| DpQuery::Joint { u, a, v, c };
+        [joint(uh, vh), joint(ul, vh), joint(uh, vl), joint(ul, vl)]
+    }
+
+    fn nodes(self) -> [usize; 2] {
+        match self {
+            DpQuery::Joint { u, v, .. } => [u, v],
+            DpQuery::Marginal { v, .. } => [v, v],
+        }
+    }
+}
+
+/// A [`DpQuery`] split around the current segment: its prefix state and
+/// compiled suffix, resumed per candidate over the touched digits.
+enum SplitQuery {
+    Joint(usize, usize, JointSplit),
+    Marginal(usize, MarginalSplit),
+}
+
+impl SplitQuery {
+    fn new(query: DpQuery, forms: &[PackedForms], lo: usize, hi: usize) -> Self {
+        match query {
+            DpQuery::Joint { u, a, v, c } => {
+                SplitQuery::Joint(u, v, JointSplit::new(&forms[u], a, &forms[v], c, lo, hi))
+            }
+            DpQuery::Marginal { v, t } => {
+                SplitQuery::Marginal(v, MarginalSplit::new(&forms[v], t, lo, hi))
+            }
+        }
+    }
+
+    #[inline]
+    fn resume(&self, forms: &[PackedForms]) -> f64 {
+        match self {
+            SplitQuery::Joint(u, v, split) => split.resume(&forms[*u], &forms[*v]),
+            SplitQuery::Marginal(v, split) => split.resume(&forms[*v]),
+        }
+    }
+}
+
+/// How a candidate rewrites one touched slice of one node: the slice's
+/// form with every segment bit fixed to 0, and the candidate bits whose
+/// value flips its offset. Fixing a seed bit clears the same mask or `s`
+/// bit whatever its value and XORs the value into the offset only when
+/// the node's input selects it, so candidate `c` yields
+/// `form` with `offset ^= parity(c & flips)`.
+struct SlicePatch {
+    node: usize,
+    slice: usize,
+    form: BitForm,
+    flips: u64,
+}
+
+impl SlicePatch {
+    #[inline]
+    fn form_for(&self, cand: usize) -> BitForm {
+        let mut form = self.form;
+        form.offset ^= (cand as u64 & self.flips).count_ones() & 1 == 1;
+        form
+    }
+}
+
+/// Per-worker candidate scratch, reused across candidates and segments:
+/// the forms with the candidate's touched slices patched in, and the query
+/// values handed to `combine`.
+struct Scratch {
+    forms: Vec<PackedForms>,
+    values: Vec<f64>,
+}
+
+/// A free scratch slot. At most one candidate runs per pool worker, so
+/// with one slot per worker a `try_lock` always succeeds; every candidate
+/// rewrites what it reads, so which slot it gets cannot change a value.
+fn claim(slots: &[Mutex<Scratch>]) -> MutexGuard<'_, Scratch> {
+    slots
+        .iter()
+        .find_map(|slot| slot.try_lock().ok())
+        .unwrap_or_else(|| slots[0].lock().unwrap_or_else(PoisonError::into_inner))
+}
+
 /// Fixes every bit of `family`'s shared seed, `λ` bits at a time, by
-/// minimizing `score` — the segment-parallel derandomization of the
-/// CONGESTED CLIQUE and MPC drivers (Section 4; `DESIGN.md` §2.6).
+/// minimizing a candidate score — the segment-parallel derandomization of
+/// the CONGESTED CLIQUE and MPC drivers (Section 4; `DESIGN.md` §2.6).
 ///
 /// The seed is walked in segments `[start, min(start + λ, seed_len))`.
-/// Candidate `c` of a segment sets seed bit `start + i` to bit `i` of `c`;
-/// `score` receives every node's packed forms with the segment applied
-/// (inactive nodes hold empty forms) and returns the candidate's expected
-/// cost. All `2^λ` candidates are scored through `pool`, the lowest score
-/// wins and ties go to the lowest candidate ([`dcl_sim::argmin_f64`]), so
-/// the seed is bit-identical across backends whenever `score` is a
-/// deterministic function of the forms. The winning bits are then fixed in
-/// both the seed and the forms the next segment starts from.
+/// Candidate `c` of a segment sets seed bit `start + i` to bit `i` of `c`.
+/// A candidate's score is `combine(values)`, where `values[k]` is the
+/// probability `queries[k]` under the seed fixed so far plus the
+/// candidate's bits: the queries are the local work of the responsible
+/// nodes or machines, `combine` the deterministic reduce at the leader or
+/// machine 0. All `2^λ` candidates are scored through `pool`, the lowest
+/// score wins and ties go to the lowest candidate
+/// ([`dcl_sim::argmin_f64`]), so the seed is bit-identical across backends
+/// whenever `combine` is a deterministic function of the values. The
+/// winning bits are then fixed in the seed and the forms the next segment
+/// starts from.
+///
+/// Each value equals the scalar digit DP on the candidate's forms bit for
+/// bit, but is computed incrementally
+/// ([`dcl_kernels::digit_dp::segment`]): per segment, every query's DP
+/// state over the untouched digits above the segment and its compiled
+/// suffix over the fixed digits below are built once; per candidate, only
+/// the touched slices of the queried nodes are patched and only those
+/// digits are resumed. Debug builds check that contract against a full
+/// per-candidate recomputation of every active node's forms.
 ///
 /// Rounds are the caller's: `seed_len.div_ceil(λ)` segments times the
 /// host model's per-segment cost.
 ///
 /// # Panics
 ///
-/// Panics if `lambda` is 0 or `psi` and `active` differ in length.
-pub fn fix_seed_by_segments<F>(
+/// Panics if `lambda` is 0, `psi` and `active` differ in length, or a
+/// query names an inactive node.
+pub fn fix_seed_by_segments<C>(
     pool: Option<&Pool>,
     family: &SliceFamily,
     psi: &[u64],
     active: &[bool],
     lambda: u32,
-    score: F,
+    queries: &[DpQuery],
+    combine: C,
 ) -> PartialSeed
 where
-    F: Fn(&[PackedForms]) -> f64 + Sync,
+    C: Fn(&[f64]) -> f64 + Sync,
 {
     assert!(lambda >= 1, "segment length must be at least one bit");
     assert_eq!(psi.len(), active.len(), "psi and mask lengths differ");
+    let mut queried = vec![false; active.len()];
+    for node in queries.iter().flat_map(|q| q.nodes()) {
+        assert!(active[node], "query reads inactive node {node}");
+        queried[node] = true;
+    }
     let seed_len = family.seed_len();
     let mut seed = PartialSeed::new(seed_len);
     let empty = PackedForms::from_forms(&[]);
@@ -181,9 +325,52 @@ where
             }
         })
         .collect();
+    let workers = pool.map_or(1, Pool::threads);
+    let mut slots: Vec<Mutex<Scratch>> = (0..workers)
+        .map(|_| {
+            Mutex::new(Scratch {
+                forms: Vec::new(),
+                values: vec![0.0; queries.len()],
+            })
+        })
+        .collect();
+    let mut splits: Vec<SplitQuery> = Vec::with_capacity(queries.len());
+    let mut patches: Vec<SlicePatch> = Vec::new();
     let mut start = 0usize;
     while start < seed_len {
         let end = (start + lambda as usize).min(seed_len);
+        // The segment touches slices hi .. lo; below are fixed, above free.
+        let hi = family.slice_of_seed_bit(start) as usize;
+        let lo = family.slice_of_seed_bit(end - 1) as usize + 1;
+        splits.clear();
+        splits.extend(queries.iter().map(|&q| SplitQuery::new(q, &forms, lo, hi)));
+        patches.clear();
+        for v in (0..forms.len()).filter(|&v| queried[v]) {
+            for slice in hi..lo {
+                let mut form = forms[v].form(slice);
+                let mut flips = 0u64;
+                for (offset, j) in (start..end).enumerate() {
+                    if family.slice_of_seed_bit(j) as usize == slice {
+                        let zero = family.form_with_fix(form, psi[v], j, false);
+                        let one = family.form_with_fix(form, psi[v], j, true);
+                        flips |= u64::from(zero.offset != one.offset) << offset;
+                        form = zero;
+                    }
+                }
+                patches.push(SlicePatch {
+                    node: v,
+                    slice,
+                    form,
+                    flips,
+                });
+            }
+        }
+        for slot in &mut slots {
+            slot.get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .forms
+                .clone_from(&forms);
+        }
         // Seed bit `start + offset` takes bit `offset` of the candidate.
         let apply = |forms: &mut [PackedForms], cand: usize| {
             for (offset, j) in (start..end).enumerate() {
@@ -196,9 +383,38 @@ where
             }
         };
         let (_, winner) = dcl_sim::argmin_f64(pool, 1 << (end - start), |cand| {
-            let mut scratch = forms.clone();
-            apply(&mut scratch, cand);
-            score(&scratch)
+            let mut slot = claim(&slots);
+            let Scratch {
+                forms: scratch,
+                values,
+            } = &mut *slot;
+            for patch in &patches {
+                scratch[patch.node].set_form(patch.slice, patch.form_for(cand));
+            }
+            #[cfg(debug_assertions)]
+            {
+                let mut full = forms.clone();
+                apply(&mut full, cand);
+                for (v, (f, base)) in full.iter().zip(&forms).enumerate() {
+                    for i in (0..f.digits()).filter(|i| !(hi..lo).contains(i)) {
+                        debug_assert_eq!(
+                            f.form(i),
+                            base.form(i),
+                            "segment {start}..{end} changed node {v}'s digit {i} outside \
+                             the touched slices {hi}..{lo}"
+                        );
+                    }
+                    if queried[v] {
+                        for i in hi..lo {
+                            debug_assert_eq!(f.form(i), scratch[v].form(i), "node {v} digit {i}");
+                        }
+                    }
+                }
+            }
+            for (value, split) in values.iter_mut().zip(&splits) {
+                *value = split.resume(scratch);
+            }
+            combine(values)
         });
         apply(&mut forms, winner);
         for (offset, j) in (start..end).enumerate() {
@@ -536,19 +752,93 @@ mod tests {
         assert_eq!(used, expected);
     }
 
+    /// Values of `queries` on `forms` by the full scalar digit DP — the
+    /// naive evaluation the incremental routine must reproduce.
+    fn full_values(forms: &[PackedForms], queries: &[DpQuery]) -> Vec<f64> {
+        use dcl_kernels::digit_dp::scalar;
+        queries
+            .iter()
+            .map(|&q| match q {
+                DpQuery::Joint { u, a, v, c } => scalar::prob_joint_lt(&forms[u], a, &forms[v], c),
+                DpQuery::Marginal { v, t } => scalar::prob_lt(&forms[v], t),
+            })
+            .collect()
+    }
+
+    /// The segment loop as it stood before the incremental split: clone
+    /// every node's forms per candidate, apply the candidate, run the full
+    /// DP for every query.
+    fn naive_fix_seed(
+        family: &SliceFamily,
+        psi: &[u64],
+        active: &[bool],
+        lambda: u32,
+        queries: &[DpQuery],
+        combine: impl Fn(&[f64]) -> f64 + Sync,
+    ) -> PartialSeed {
+        let seed_len = family.seed_len();
+        let mut seed = PartialSeed::new(seed_len);
+        let mut forms: Vec<PackedForms> = psi
+            .iter()
+            .zip(active)
+            .map(|(&x, &on)| {
+                if on {
+                    family.packed_forms_for(&seed, x)
+                } else {
+                    PackedForms::from_forms(&[])
+                }
+            })
+            .collect();
+        let mut start = 0usize;
+        while start < seed_len {
+            let end = (start + lambda as usize).min(seed_len);
+            let apply = |forms: &mut [PackedForms], cand: usize| {
+                for (offset, j) in (start..end).enumerate() {
+                    for ((f, &x), &on) in forms.iter_mut().zip(psi).zip(active) {
+                        if on {
+                            family.update_packed_on_fix(f, x, j, cand >> offset & 1 == 1);
+                        }
+                    }
+                }
+            };
+            let (_, winner) = dcl_sim::argmin_f64(None, 1 << (end - start), |cand| {
+                let mut scratch = forms.clone();
+                apply(&mut scratch, cand);
+                combine(&full_values(&scratch, queries))
+            });
+            apply(&mut forms, winner);
+            for (offset, j) in (start..end).enumerate() {
+                seed.fix(j, winner >> offset & 1 == 1);
+            }
+            start = end;
+        }
+        seed
+    }
+
     /// Candidate score over a ring of the active nodes: the probability
-    /// that both endpoints flip the same coin, edge weight `1 + i/8`.
-    fn ring_score(active: &[bool], t: u64) -> impl Fn(&[PackedForms]) -> f64 + Sync + '_ {
-        move |forms| {
-            let on: Vec<usize> = (0..active.len()).filter(|&v| active[v]).collect();
+    /// that both endpoints flip the same coin, edge weight `1 + i/8`. The
+    /// queries are every node's marginal, then every ring edge's joint.
+    fn ring_score(active: &[bool], t: u64) -> (Vec<DpQuery>, impl Fn(&[f64]) -> f64 + Sync) {
+        let on: Vec<usize> = (0..active.len()).filter(|&v| active[v]).collect();
+        let mut queries: Vec<DpQuery> = on.iter().map(|&v| DpQuery::Marginal { v, t }).collect();
+        queries.extend(on.iter().enumerate().map(|(i, &u)| DpQuery::Joint {
+            u,
+            a: t,
+            v: on[(i + 1) % on.len()],
+            c: t,
+        }));
+        let k = on.len();
+        let combine = move |values: &[f64]| {
+            let (marginals, joints) = values.split_at(k);
             let mut total = 0.0;
-            for (i, &u) in on.iter().enumerate() {
-                let v = on[(i + 1) % on.len()];
-                let p = dcl_kernels::digit_dp::joint_coin_probs_packed(&forms[u], t, &forms[v], t);
-                total += (p[0] + p[3]) * (1.0 + i as f64 / 8.0);
+            for (i, &p11) in joints.iter().enumerate() {
+                let (px, py) = (marginals[i], marginals[(i + 1) % k]);
+                let p00 = (1.0 - px - py + p11).max(0.0);
+                total += (p00 + p11) * (1.0 + i as f64 / 8.0);
             }
             total
-        }
+        };
+        (queries, combine)
     }
 
     #[test]
@@ -559,7 +849,7 @@ mod tests {
         let psi = [0u64, 1, 2, 3, 1];
         let active = [true, true, false, true, true];
         let t = coin_threshold(1, 2, 2);
-        let score = ring_score(&active, t);
+        let (queries, combine) = ring_score(&active, t);
         // A fully fixed seed makes every coin certain, so many seeds tie:
         // the lowest one must win.
         let mut best = (f64::INFINITY, 0u64);
@@ -577,7 +867,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let s = score(&forms);
+            let s = combine(&full_values(&forms, &queries));
             if s < best.0 {
                 best = (s, value);
             }
@@ -586,7 +876,8 @@ mod tests {
         assert!(scores.iter().filter(|&&s| s == best.0).count() > 1);
         let expected = PartialSeed::from_u64(seed_len, best.1);
         for lambda in [seed_len as u32, seed_len as u32 + 3] {
-            let seed = fix_seed_by_segments(None, &family, &psi, &active, lambda, &score);
+            let seed =
+                fix_seed_by_segments(None, &family, &psi, &active, lambda, &queries, &combine);
             assert_eq!(seed, expected, "lambda {lambda}");
         }
     }
@@ -597,13 +888,81 @@ mod tests {
         let psi: Vec<u64> = (0..12).map(|v| (v * 5 + 3) % 16).collect();
         let active: Vec<bool> = (0..12).map(|v| v % 5 != 2).collect();
         let t = coin_threshold(2, 5, 3);
-        let score = ring_score(&active, t);
+        let (queries, combine) = ring_score(&active, t);
         let pool = dcl_sim::Pool::new(2);
         for lambda in 1..=3 {
-            let sequential = fix_seed_by_segments(None, &family, &psi, &active, lambda, &score);
-            let pooled = fix_seed_by_segments(Some(&pool), &family, &psi, &active, lambda, &score);
+            let sequential =
+                fix_seed_by_segments(None, &family, &psi, &active, lambda, &queries, &combine);
+            let pooled = fix_seed_by_segments(
+                Some(&pool),
+                &family,
+                &psi,
+                &active,
+                lambda,
+                &queries,
+                &combine,
+            );
             assert!(sequential.is_complete(), "lambda {lambda}");
             assert_eq!(sequential, pooled, "lambda {lambda}");
+        }
+    }
+
+    #[test]
+    fn incremental_segments_match_the_naive_reference() {
+        // m + 1 = 4 seed bits per slice, so every λ ∉ {1, 2, 4} has
+        // segments straddling a slice boundary. The interval corners cover
+        // thresholds 0 and 2^b; the combine mixes joints and marginals.
+        let family = SliceFamily::new(3, 4);
+        let full = 1u64 << 4;
+        let psi: Vec<u64> = (0..9).map(|v| (v * 3 + 1) % 8).collect();
+        let active: Vec<bool> = (0..9).map(|v| v != 4).collect();
+        let on: Vec<usize> = (0..9).filter(|&v| active[v]).collect();
+        let bounds = [0, 5, 11, full];
+        let mut queries = Vec::new();
+        for (i, &u) in on.iter().enumerate() {
+            let v = on[(i + 3) % on.len()];
+            for d in 0..3 {
+                let (ul, uh) = (bounds[d], bounds[d + 1]);
+                let (vl, vh) = (bounds[(d + i) % 3], bounds[(d + i) % 3 + 1]);
+                queries.extend(DpQuery::interval_corners(u, [ul, uh], v, [vl, vh]));
+            }
+            queries.push(DpQuery::Marginal {
+                v: u,
+                t: 3 + i as u64,
+            });
+        }
+        let combine = |values: &[f64]| {
+            values.chunks(13).fold(0.0, |total, group| {
+                let (corners, marginal) = group.split_at(12);
+                let conflict = corners
+                    .as_chunks::<4>()
+                    .0
+                    .iter()
+                    .fold(0.0, |s, &j| s + dcl_kernels::digit_dp::segment::interval(j));
+                total + conflict * (1.0 + marginal[0])
+            })
+        };
+        let pools = [dcl_sim::Pool::new(2), dcl_sim::Pool::new(3)];
+        for lambda in 1..=7 {
+            let naive = naive_fix_seed(&family, &psi, &active, lambda, &queries, combine);
+            assert!(naive.is_complete());
+            // The scores must actually discriminate between candidates.
+            assert_ne!(naive, PartialSeed::from_u64(family.seed_len(), 0));
+            let sequential =
+                fix_seed_by_segments(None, &family, &psi, &active, lambda, &queries, combine);
+            assert_eq!(sequential, naive, "lambda {lambda}");
+            for pool in &pools {
+                let pooled = fix_seed_by_segments(
+                    Some(pool),
+                    &family,
+                    &psi,
+                    &active,
+                    lambda,
+                    &queries,
+                    combine,
+                );
+                assert_eq!(pooled, naive, "lambda {lambda}, {} workers", pool.threads());
+            }
         }
     }
 

@@ -191,10 +191,10 @@ impl SliceFamily {
     }
 
     /// All `b` bit forms for input `x`, packed in the kernels' SoA layout
-    /// ([`PackedForms`]). The packed layout is what the clique/MPC drivers
-    /// keep as per-candidate scratch: the digit-DP entry points
-    /// (`joint_interval_packed`, `joint_coin_probs_packed`) consume it
-    /// directly, so the per-call pack step disappears from the hot loop.
+    /// ([`PackedForms`]). The packed layout is what the segmented seed
+    /// fixing of the clique/MPC drivers keeps per node: the split digit DP
+    /// (`dcl_kernels::digit_dp::segment`) and the `*_packed` entry points
+    /// consume it directly, so no per-call pack step runs in the hot loop.
     pub fn packed_forms_for(&self, seed: &PartialSeed, x: u64) -> PackedForms {
         let forms = self.forms_for(seed, x);
         PackedForms::from_forms(&forms)

@@ -30,6 +30,11 @@
 //!   association order. Bit-identical because the cached prefix is a
 //!   literal memo of the reference computation's first `b-1-s` steps.
 //!
+//! Outside the tier dispatch, [`segment`] splits the scalar DPs around
+//! one seed segment (prefix over the untouched high digits, resume over
+//! the touched ones, compiled suffix over the fixed low digits) for the
+//! segmented seed fixing of the CONGESTED CLIQUE and MPC drivers.
+//!
 //! Thresholds may be up to `2^b` *inclusive* (the reference's guard
 //! clauses); `b` is the forms-slice length, at most 63 (`SliceFamily`
 //! enforces this upstream).
@@ -40,6 +45,7 @@ use crate::tier::{family_tier, KernelFamily, KernelTier};
 pub mod incremental;
 pub mod reference;
 pub mod scalar;
+pub mod segment;
 pub mod simd;
 
 pub use incremental::EdgeDpCache;

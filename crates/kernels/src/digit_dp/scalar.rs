@@ -16,28 +16,36 @@ use crate::forms::BitForm;
 
 /// Marginal digit DP on a packed input. Same op sequence as the reference
 /// ([`super::reference::prob_lt_override`]); the override is already packed.
+/// `t` may be `2^b` (inclusive) → 1.
 #[must_use]
-pub(crate) fn prob_lt(s: &Soa, t: u64) -> f64 {
+pub fn prob_lt(s: &Soa, t: u64) -> f64 {
     if t >= 1 << s.b {
         return 1.0;
     }
-    let mut p_eq = 1.0f64;
-    let mut p_lt = 0.0f64;
+    let mut st = [1.0f64, 0.0f64];
     for i in (0..s.b).rev() {
-        let p1 = s.prob_one(i);
-        if t >> i & 1 == 1 {
-            p_lt += p_eq * (1.0 - p1);
-            p_eq *= p1;
-        } else {
-            p_eq *= 1.0 - p1;
-        }
+        marg_step(&mut st, s, t, i);
     }
-    p_lt
+    st[1]
 }
 
-/// Joint digit DP on packed inputs.
+/// One marginal DP step at digit `i` on the state `[p_eq, p_lt]` — the
+/// reference loop body, verbatim.
+#[inline]
+pub(crate) fn marg_step(st: &mut [f64; 2], s: &Soa, t: u64, i: usize) {
+    let p1 = s.prob_one(i);
+    if t >> i & 1 == 1 {
+        st[1] += st[0] * (1.0 - p1);
+        st[0] *= p1;
+    } else {
+        st[0] *= 1.0 - p1;
+    }
+}
+
+/// Joint digit DP on packed inputs: `Pr[z_x < t_x ∧ z_y < t_y]`, with the
+/// reference's guard clauses for thresholds equal to `2^b`.
 #[must_use]
-pub(crate) fn prob_joint_lt(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> f64 {
+pub fn prob_joint_lt(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> f64 {
     debug_assert_eq!(sx.b, sy.b, "inputs must share the output width");
     let b = sx.b;
     let full = 1u64 << b;
@@ -50,80 +58,82 @@ pub(crate) fn prob_joint_lt(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64) -> f64 {
     if t_y >= full {
         return prob_lt(sx, t_x);
     }
-    let mut ee = 1.0f64;
-    let mut el = 0.0f64;
-    let mut le = 0.0f64;
-    let mut ll = 0.0f64;
+    let mut st = [1.0f64, 0.0, 0.0, 0.0];
     for i in (0..b).rev() {
-        let tbx = t_x >> i & 1;
-        let tby = t_y >> i & 1;
-        let kx = sx.known >> i & 1 == 1;
-        let ky = sy.known >> i & 1 == 1;
-        let ox = sx.offset >> i & 1;
-        let oy = sy.offset >> i & 1;
-        // The nonzero pmf entries `(bx, by, prob)` in ascending pmf-index
-        // (`bx<<1|by`) order — the exact visit order of the reference loop.
-        let mut entries = [(0u64, 0u64, 0.0f64); 4];
-        let count = match (kx, ky) {
-            (true, true) => {
-                entries[0] = (ox, oy, 1.0);
-                1
-            }
-            (true, false) => {
-                entries[0] = (ox, 0, 0.5);
-                entries[1] = (ox, 1, 0.5);
-                2
-            }
-            (false, true) => {
-                entries[0] = (0, oy, 0.5);
-                entries[1] = (1, oy, 0.5);
-                2
-            }
-            (false, false) => {
-                if sx.masks[i] == sy.masks[i] {
-                    let d = ox ^ oy;
-                    entries[0] = (0, d, 0.5);
-                    entries[1] = (1, 1 ^ d, 0.5);
-                    2
-                } else {
-                    entries[0] = (0, 0, 0.25);
-                    entries[1] = (0, 1, 0.25);
-                    entries[2] = (1, 0, 0.25);
-                    entries[3] = (1, 1, 0.25);
-                    4
-                }
-            }
-        };
-        let (mut nee, mut nel, mut nle, mut nll) = (0.0, 0.0, 0.0, 0.0);
-        for &(bx, by, prob) in &entries[..count] {
-            let cx = bx.cmp(&tbx);
-            let cy = by.cmp(&tby);
-            use std::cmp::Ordering::*;
-            match (cx, cy) {
-                (Greater, _) | (_, Greater) => {}
-                (Equal, Equal) => nee += ee * prob,
-                (Equal, Less) => nel += ee * prob,
-                (Less, Equal) => nle += ee * prob,
-                (Less, Less) => nll += ee * prob,
-            }
-            match cx {
-                Greater => {}
-                Equal => nel += el * prob,
-                Less => nll += el * prob,
-            }
-            match cy {
-                Greater => {}
-                Equal => nle += le * prob,
-                Less => nll += le * prob,
-            }
-            nll += ll * prob;
-        }
-        ee = nee;
-        el = nel;
-        le = nle;
-        ll = nll;
+        joint_step(&mut st, sx, t_x, sy, t_y, i);
     }
-    ll
+    st[3]
+}
+
+/// One joint DP step at digit `i` on the state `[ee, el, le, ll]` (`e` =
+/// equal so far, `l` = already less, first letter for `x`).
+#[inline]
+pub(crate) fn joint_step(st: &mut [f64; 4], sx: &Soa, t_x: u64, sy: &Soa, t_y: u64, i: usize) {
+    let [ee, el, le, ll] = *st;
+    let tbx = t_x >> i & 1;
+    let tby = t_y >> i & 1;
+    let kx = sx.known >> i & 1 == 1;
+    let ky = sy.known >> i & 1 == 1;
+    let ox = sx.offset >> i & 1;
+    let oy = sy.offset >> i & 1;
+    // The nonzero pmf entries `(bx, by, prob)` in ascending pmf-index
+    // (`bx<<1|by`) order — the exact visit order of the reference loop.
+    let mut entries = [(0u64, 0u64, 0.0f64); 4];
+    let count = match (kx, ky) {
+        (true, true) => {
+            entries[0] = (ox, oy, 1.0);
+            1
+        }
+        (true, false) => {
+            entries[0] = (ox, 0, 0.5);
+            entries[1] = (ox, 1, 0.5);
+            2
+        }
+        (false, true) => {
+            entries[0] = (0, oy, 0.5);
+            entries[1] = (1, oy, 0.5);
+            2
+        }
+        (false, false) => {
+            if sx.masks[i] == sy.masks[i] {
+                let d = ox ^ oy;
+                entries[0] = (0, d, 0.5);
+                entries[1] = (1, 1 ^ d, 0.5);
+                2
+            } else {
+                entries[0] = (0, 0, 0.25);
+                entries[1] = (0, 1, 0.25);
+                entries[2] = (1, 0, 0.25);
+                entries[3] = (1, 1, 0.25);
+                4
+            }
+        }
+    };
+    let (mut nee, mut nel, mut nle, mut nll) = (0.0, 0.0, 0.0, 0.0);
+    for &(bx, by, prob) in &entries[..count] {
+        let cx = bx.cmp(&tbx);
+        let cy = by.cmp(&tby);
+        use std::cmp::Ordering::*;
+        match (cx, cy) {
+            (Greater, _) | (_, Greater) => {}
+            (Equal, Equal) => nee += ee * prob,
+            (Equal, Less) => nel += ee * prob,
+            (Less, Equal) => nle += ee * prob,
+            (Less, Less) => nll += ee * prob,
+        }
+        match cx {
+            Greater => {}
+            Equal => nel += el * prob,
+            Less => nll += el * prob,
+        }
+        match cy {
+            Greater => {}
+            Equal => nle += le * prob,
+            Less => nll += le * prob,
+        }
+        nll += ll * prob;
+    }
+    *st = [nee, nel, nle, nll];
 }
 
 /// Coin probabilities on packed inputs; the combine replays the reference
@@ -193,5 +203,5 @@ pub fn joint_interval(
 #[must_use]
 pub fn joint_interval_packed(su: &Soa, ul: u64, uh: u64, sv: &Soa, vl: u64, vh: u64) -> f64 {
     let j = |a: u64, b: u64| prob_joint_lt(su, a, sv, b);
-    (j(uh, vh) - j(ul, vh) - j(uh, vl) + j(ul, vl)).max(0.0)
+    super::segment::interval([j(uh, vh), j(ul, vh), j(uh, vl), j(ul, vl)])
 }

@@ -155,7 +155,7 @@ pub fn joint_interval_packed(su: &Soa, ul: u64, uh: u64, sv: &Soa, vl: u64, vh: 
             let idx = pending[k];
             j[idx] = scalar::prob_joint_lt(su, corners[idx].0, sv, corners[idx].1);
         }
-        (j[0] - j[1] - j[2] + j[3]).max(0.0)
+        super::segment::interval(j)
     }
 }
 

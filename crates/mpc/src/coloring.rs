@@ -19,14 +19,22 @@
 //!   [`crate::tools::set_difference`] on the simulator, and once
 //!   `Δ² · uncolored ≤ n` the Lemma 4.2 one-shot finisher completes the
 //!   coloring in `O(log n)` extra rounds.
+//!
+//! The seed-fixing calls are written as "emit queries, fold values": each
+//! machine's local work per candidate is a fixed list of digit-DP
+//! [`DpQuery`] terms (its nodes' coin marginals and its edges' joints, or
+//! the finisher's quantile-interval corners), and the closure passed along
+//! is machine 0's deterministic reduce of their values into the expected
+//! potential, in edge order.
 
 use crate::machine::{Mpc, MpcMetrics};
 use crate::tools;
-use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments};
+use dcl_coloring::derand_step::{accuracy_bits, fix_seed_by_segments, DpQuery};
 use dcl_coloring::instance::ListInstance;
 use dcl_coloring::prefix::PrefixState;
-use dcl_derand::slice::{coin_threshold, PackedForms, SliceFamily};
-use dcl_graphs::NodeId;
+use dcl_derand::slice::{coin_threshold, SliceFamily};
+use dcl_graphs::{Graph, NodeId};
+use dcl_kernels::digit_dp::segment::interval;
 
 /// Result of an MPC coloring run.
 #[derive(Debug, Clone)]
@@ -76,7 +84,9 @@ pub struct SelectionCosts {
 /// charged to `mpc` per `costs`. Each phase's seed is fixed by
 /// [`fix_seed_by_segments`]: the `2^λ` candidates of a segment are scored
 /// through the cluster's backend pool (free local computation in the MPC
-/// cost model), bit-identical to the sequential evaluation.
+/// cost model), bit-identical to the sequential evaluation. Each conflict
+/// endpoint's coin marginal is one query, evaluated once per candidate and
+/// shared by all its incident edges.
 #[allow(clippy::too_many_arguments)]
 fn bitwise_selection(
     mpc: &mut Mpc,
@@ -113,20 +123,47 @@ fn bitwise_selection(
         let mut k1_inv = vec![0.0f64; n];
         dcl_kernels::ratio::recip_batch(&k0, &mut k0_inv);
         dcl_kernels::ratio::recip_batch(&k1, &mut k1_inv);
+        // Each machine evaluates its nodes' marginals and its conflict
+        // edges' joints per candidate; machine 0 reduces them in edge order
+        // into the expected potential `Σ p11·(1/k1) + p00·(1/k0)`, with
+        // `p00 = 1 − px − py + p11` as in `joint_coin_probs`.
         let edges = state.conflict_edges();
-        let seed = fix_seed_by_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
-            let mut total = 0.0;
-            for &(u, v) in &edges {
-                let p = dcl_kernels::digit_dp::joint_coin_probs_packed(
-                    &forms[u],
-                    thresholds[u],
-                    &forms[v],
-                    thresholds[v],
-                );
-                total += p[3] * (k1_inv[u] + k1_inv[v]) + p[0] * (k0_inv[u] + k0_inv[v]);
+        let mut marginal_of = vec![usize::MAX; n];
+        let mut queries = Vec::new();
+        for &(u, v) in &edges {
+            for w in [u, v] {
+                if marginal_of[w] == usize::MAX {
+                    marginal_of[w] = queries.len();
+                    queries.push(DpQuery::Marginal {
+                        v: w,
+                        t: thresholds[w],
+                    });
+                }
             }
-            total
-        });
+        }
+        let marginals = queries.len();
+        queries.extend(edges.iter().map(|&(u, v)| DpQuery::Joint {
+            u,
+            a: thresholds[u],
+            v,
+            c: thresholds[v],
+        }));
+        let seed = fix_seed_by_segments(
+            mpc.pool(),
+            &family,
+            psi,
+            active,
+            lambda,
+            &queries,
+            |values| {
+                let (px, p11) = values.split_at(marginals);
+                edges.iter().zip(p11).fold(0.0, |total, (&(u, v), &p11)| {
+                    let (pu, pv) = (px[marginal_of[u]], px[marginal_of[v]]);
+                    let p00 = (1.0 - pu - pv + p11).max(0.0);
+                    total + (p11 * (k1_inv[u] + k1_inv[v]) + p00 * (k0_inv[u] + k0_inv[v]))
+                })
+            },
+        );
         mpc.charge_rounds(segments * costs.segment_rounds);
         for v in 0..n {
             if active[v] {
@@ -238,6 +275,7 @@ pub fn mpc_color_linear_with(
         );
         mpc.charge_rounds(2); // keep decision + color announcements
         apply_keeps(
+            g,
             &state,
             &mut residual,
             &mut active,
@@ -344,6 +382,7 @@ pub fn mpc_color_sublinear_with(
         if delta_act <= 1 || (delta_fits && delta_act * delta_act * uncolored <= 4 * n.max(4)) {
             finisher_iterations += run_finisher(
                 &mut mpc,
+                g,
                 &mut residual,
                 &mut active,
                 &mut colors,
@@ -379,6 +418,7 @@ pub fn mpc_color_sublinear_with(
         );
         mpc.charge_rounds(2);
         let newly = apply_keeps(
+            g,
             &state,
             &mut residual,
             &mut active,
@@ -438,10 +478,12 @@ pub fn mpc_color_sublinear_with(
 
 /// Lemma 4.2: one-shot color selection (quantile digits over whole lists)
 /// plus the matching keep rule, iterated to completion in `O(log n)`
-/// iterations. Returns the iteration count.
+/// iterations. `graph` is the input graph, which `residual` shares (only
+/// lists shrink). Returns the iteration count.
 #[allow(clippy::too_many_arguments)]
 fn run_finisher(
     mpc: &mut Mpc,
+    graph: &Graph,
     residual: &mut ListInstance,
     active: &mut [bool],
     colors: &mut [Option<u64>],
@@ -451,7 +493,7 @@ fn run_finisher(
     lambda: u32,
     tree_depth: u64,
 ) -> usize {
-    let n = residual.graph().n();
+    let n = graph.n();
     let mut iterations = 0usize;
     while *uncolored > 0 {
         assert!(
@@ -463,12 +505,7 @@ fn run_finisher(
         // Cap lists at Δ+1 (Equation 9: guarantees ΣΦ < n − n/(Δ+1)).
         for v in 0..n {
             if active[v] && residual.list(v).len() > delta_act + 1 {
-                let deg = residual
-                    .graph()
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&u| active[u])
-                    .count();
+                let deg = graph.neighbors(v).iter().filter(|&&u| active[u]).count();
                 residual.truncate_list(v, (delta_act + 1).max(deg + 1));
             }
         }
@@ -487,18 +524,41 @@ fn run_finisher(
             }
         }
         mpc.charge_rounds(2 * tree_depth); // lists meet at edge machines
-                                           // Conflict edges = all active-active edges (fresh selection).
-        let g = residual.graph().clone();
-        let edges: Vec<(NodeId, NodeId)> =
-            g.edges().filter(|&(u, v)| active[u] && active[v]).collect();
-        let seed = fix_seed_by_segments(mpc.pool(), &family, psi, active, lambda, |forms| {
-            let mut total = 0.0;
-            for &(u, v) in &edges {
-                total +=
-                    edge_conflict_expectation(residual, u, v, &forms[u], &forms[v], &thresholds);
-            }
-            total
-        });
+
+        // Conflict edges = all active-active edges (fresh selection). Per
+        // candidate, each edge machine evaluates the joint-CDF corners of
+        // every color both endpoints list; machine 0 sums each edge's
+        // intervals and adds twice that (both endpoints count the conflict
+        // in Σ Φ) in edge order.
+        let edges: Vec<(NodeId, NodeId)> = graph
+            .edges()
+            .filter(|&(u, v)| active[u] && active[v])
+            .collect();
+        let mut queries = Vec::new();
+        let intervals: Vec<usize> = edges
+            .iter()
+            .map(|&(u, v)| {
+                let before = queries.len();
+                shared_color_corners(residual, u, v, &thresholds, &mut queries);
+                (queries.len() - before) / 4
+            })
+            .collect();
+        let seed = fix_seed_by_segments(
+            mpc.pool(),
+            &family,
+            psi,
+            active,
+            lambda,
+            &queries,
+            |values| {
+                let (mut corners, _) = values.as_chunks::<4>();
+                intervals.iter().fold(0.0, |total, &k| {
+                    let (edge, rest) = corners.split_at(k);
+                    corners = rest;
+                    total + 2.0 * edge.iter().fold(0.0, |sub, &j| sub + interval(j))
+                })
+            },
+        );
         mpc.charge_rounds(family.seed_len().div_ceil(lambda as usize) as u64 * 2 * tree_depth);
         // Apply: every active node picks the list color of its quantile.
         let mut chosen: Vec<Option<u64>> = vec![None; n];
@@ -542,7 +602,7 @@ fn run_finisher(
         }
         mpc.charge_rounds(1);
         for &(v, c) in &newly {
-            for &u in g.neighbors(v) {
+            for &u in graph.neighbors(v) {
                 if active[u] {
                     residual.remove_color(u, c);
                 }
@@ -552,18 +612,17 @@ fn run_finisher(
     iterations
 }
 
-/// Expected conflict contribution of one edge under a partially fixed seed:
-/// the probability that both endpoints' quantiles land on the same color.
-fn edge_conflict_expectation(
+/// Pushes the joint-CDF corners of `Pr[both quantiles land on color c]`
+/// for every color `c` on both endpoints' lists with a nonempty quantile
+/// interval at each, in list order.
+fn shared_color_corners(
     residual: &ListInstance,
     u: NodeId,
     v: NodeId,
-    forms_u: &PackedForms,
-    forms_v: &PackedForms,
     thresholds: &[Vec<u64>],
-) -> f64 {
+    queries: &mut Vec<DpQuery>,
+) {
     let (lu, lv) = (residual.list(u), residual.list(v));
-    let mut total = 0.0;
     let mut iu = 0usize;
     let mut iv = 0usize;
     while iu < lu.len() && iv < lv.len() {
@@ -574,17 +633,13 @@ fn edge_conflict_expectation(
                 let (a0, a1) = (thresholds[u][iu], thresholds[u][iu + 1]);
                 let (b0, b1) = (thresholds[v][iv], thresholds[v][iv + 1]);
                 if a1 > a0 && b1 > b0 {
-                    total += dcl_kernels::digit_dp::joint_interval_packed(
-                        forms_u, a0, a1, forms_v, b0, b1,
-                    );
+                    queries.extend(DpQuery::interval_corners(u, [a0, a1], v, [b0, b1]));
                 }
                 iu += 1;
                 iv += 1;
             }
         }
     }
-    // Both endpoints count the conflict in Σ Φ.
-    2.0 * total
 }
 
 /// Finishes tiny residual instances greedily (after collection at one
@@ -621,9 +676,11 @@ fn max_active_degree(residual: &ListInstance, active: &[bool]) -> usize {
 }
 
 /// Applies the MIS-avoidance keep rule ([`PrefixState::avoid_mis_keeps`]):
-/// records colors, deactivates nodes, prunes neighbor lists. Returns the
+/// records colors, deactivates nodes, prunes neighbor lists. `graph` is the
+/// input graph, which `residual` shares (only lists shrink). Returns the
 /// newly colored `(node, color)` pairs.
 fn apply_keeps(
+    graph: &Graph,
     state: &PrefixState,
     residual: &mut ListInstance,
     active: &mut [bool],
@@ -636,14 +693,13 @@ fn apply_keeps(
             newly.push((v, state.candidate_color(residual, v)));
         }
     }
-    let g = residual.graph().clone();
     for &(v, c) in &newly {
         colors[v] = Some(c);
         active[v] = false;
         *uncolored -= 1;
     }
     for &(v, c) in &newly {
-        for &u in g.neighbors(v) {
+        for &u in graph.neighbors(v) {
             if active[u] {
                 residual.remove_color(u, c);
             }
