@@ -1,14 +1,12 @@
-//! Micro-benchmarks of the arch-dispatched kernel tiers: every family
-//! (Lemma 2.6 digit DP, argmin, bit accounting) timed under each of the
-//! four tiers (`reference` / `scalar` / `simd` / `incremental`), on the
-//! same workloads the committed `BENCH_bench.json` records. The
-//! incremental `edge_shares` row is the warm-cache `edge_shares_cached`
-//! path — the steady state of the Lemma 2.6 drivers.
+//! Micro-benchmarks of the kernels under both tiers (`reference` /
+//! `incremental`), on the same workloads the committed `BENCH_bench.json`
+//! records. The incremental `edge_shares` row is the warm-cache
+//! `edge_shares_cached` path — the steady state of the Lemma 2.6 drivers —
+//! and the incremental argmin row is the four-lane fold.
 //!
 //! The digit-DP fixture matches `bench_derand`, so
 //! `kernels/digit_dp/joint_coin_probs/reference` reproduces the historical
-//! `joint_coin_probs` number and the scalar/simd rows read as speedups
-//! over it.
+//! `joint_coin_probs` number.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dcl_derand::seed::PartialSeed;
@@ -35,10 +33,6 @@ fn kernel_tiers(c: &mut Criterion) {
     let scores: Vec<f64> = (0..4096u64)
         .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
         .collect();
-    let vals: Vec<u64> = (0..4096u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-        .collect();
-    let mut lens = vec![0u32; vals.len()];
 
     for tier in KernelTier::all() {
         dcl_kernels::set_active_tier(tier);
@@ -68,10 +62,6 @@ fn kernel_tiers(c: &mut Criterion) {
         c.bench_function(&format!("kernels/argmin/4096/{}", tier.name()), |b| {
             b.iter(|| dcl_kernels::argmin::argmin_f64(&scores))
         });
-        c.bench_function(
-            &format!("kernels/bit_len_batch/4096/{}", tier.name()),
-            |b| b.iter(|| dcl_kernels::bits::bit_len_batch(&vals, &mut lens)),
-        );
     }
     dcl_kernels::clear_active_tier();
 }

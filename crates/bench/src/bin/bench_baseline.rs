@@ -167,7 +167,7 @@ fn main() {
         // Before/after pair for the incremental digit DP at the system
         // level: the same Theorem 1.1 run forced to the reference tier and
         // to the prefix-cached tier. The unforced row above is the shipped
-        // per-family default.
+        // default (incremental).
         for tier in [
             dcl_kernels::KernelTier::Reference,
             dcl_kernels::KernelTier::Incremental,
@@ -302,10 +302,9 @@ fn main() {
     }
 
     // --- bench_kernels ------------------------------------------------------
-    // Each kernel family timed once per tier (reference / scalar / simd /
-    // incremental), so the committed baseline records the tier speedups on
-    // this machine — `default_family_tier` is pinned against these rows by
-    // `dcl_kernels/tests/family_dispatch.rs`. The digit-DP workload matches
+    // Each kernel timed once per tier (reference / incremental), so the
+    // committed baseline records what the production bodies buy over the
+    // reference ones on this machine. The digit-DP workload matches
     // the bench_derand rows above, making
     // "kernels/digit_dp/joint_coin_probs/reference" directly comparable to
     // "bench_derand joint_coin_probs". The edge_shares row of the
@@ -337,10 +336,6 @@ fn main() {
         let scores: Vec<f64> = (0..4096u64)
             .map(|i| (i.wrapping_mul(2_654_435_761) % 100_000) as f64 / 3.0)
             .collect();
-        let vals: Vec<u64> = (0..4096u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15))
-            .collect();
-        let mut lens = vec![0u32; vals.len()];
         for tier in KernelTier::all() {
             dcl_kernels::set_active_tier(tier);
             let name = tier.name();
@@ -368,11 +363,6 @@ fn main() {
                 "bench_kernels",
                 format!("kernels/argmin/4096/{name}"),
                 || dcl_kernels::argmin::argmin_f64(&scores),
-            ));
-            rows.push(time_bench(
-                "bench_kernels",
-                format!("kernels/bit_len_batch/4096/{name}"),
-                || dcl_kernels::bits::bit_len_batch(&vals, &mut lens),
             ));
         }
         dcl_kernels::clear_active_tier();

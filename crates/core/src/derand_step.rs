@@ -69,14 +69,14 @@ pub struct PhaseOutcome {
 /// which keeps the float association — and hence every leader decision
 /// downstream — bit-identical to the sequential backend.
 ///
-/// The numeric work lives in `dcl_kernels::digit_dp::edge_shares_cached`
-/// (the arch-dispatched tier of this function); here we only resolve the
+/// The numeric work lives in `dcl_kernels::digit_dp::edge_shares_cached`;
+/// here we only resolve the
 /// seed layout: the candidate-value overrides for position `slice` of each
 /// endpoint's form vector. `cache` is this edge's persistent DP prefix
 /// state — the seed bits `j` arrive in index order, which is exactly the
 /// monotone schedule the incremental tier's cache contract requires (see
-/// `dcl_derand::slice` module docs); under a forced non-incremental tier
-/// the cache is ignored and that tier's stateless evaluator runs.
+/// `dcl_derand::slice` module docs); under a forced reference tier the
+/// cache is ignored and the reference body runs.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn edge_shares(

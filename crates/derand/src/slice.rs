@@ -25,9 +25,9 @@
 //! implementable; see `DESIGN.md` §2.1.
 //!
 //! The DP itself ([`BitForm`], [`PairDist`], and the `prob_*` evaluators)
-//! lives in `dcl_kernels` as an arch-dispatched kernel family (reference /
-//! scalar-SoA / SIMD / incremental tiers, proven bit-identical); this
-//! module re-exports the types and keeps the seed-aware API on top.
+//! lives in `dcl_kernels` (a verbatim reference body plus the SoA and
+//! prefix-cached incremental bodies, proven bit-identical); this module
+//! re-exports the types and keeps the seed-aware API on top.
 //!
 //! # The monotone seed-schedule contract
 //!
@@ -193,7 +193,7 @@ impl SliceFamily {
     /// All `b` bit forms for input `x`, packed in the kernels' SoA layout
     /// ([`PackedForms`]). The packed layout is what the segmented seed
     /// fixing of the clique/MPC drivers keeps per node: the split digit DP
-    /// (`dcl_kernels::digit_dp::segment`) and the `*_packed` entry points
+    /// (`dcl_kernels::digit_dp::segment`) and `joint_coin_probs_packed`
     /// consume it directly, so no per-call pack step runs in the hot loop.
     pub fn packed_forms_for(&self, seed: &PartialSeed, x: u64) -> PackedForms {
         let forms = self.forms_for(seed, x);

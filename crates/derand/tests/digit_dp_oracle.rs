@@ -1,7 +1,8 @@
 //! Brute-force histogram oracle for the digit-DP kernels.
 //!
-//! The tier-equivalence suite in `dcl_kernels` proves the four tiers agree
-//! with each other; this suite proves they agree with *the ground truth*:
+//! The tier-equivalence suite in `dcl_kernels` proves the production bodies
+//! agree with the reference; this suite proves they agree with *the ground
+//! truth*:
 //! for every completion of a partial seed the hash output pair `(z_x, z_y)`
 //! is enumerated into an exact joint histogram, and the marginal DP, joint
 //! DP and four-outcome coin DP are checked against it for **every**
@@ -32,8 +33,8 @@ fn lock_tier() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` once per tier and restores per-family dispatch afterwards.
-fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 4] {
+/// Runs `f` once per tier and restores the default tier afterwards.
+fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 2] {
     let _guard = lock_tier();
     let out = KernelTier::all().map(|tier| {
         set_active_tier(tier);
@@ -213,8 +214,7 @@ proptest! {
                 let got = incremental::joint_coin_probs_override(
                     &mut cache, &fx, ox, tx, &fy, oy, ty, slice,
                 );
-                // Bitwise vs the stateless evaluator (any tier — all are
-                // proven bit-identical).
+                // Bitwise vs the stateless (reference) evaluator.
                 let want = fam.joint_coin_probs_override(
                     &fx, Some((slice, ox)), tx, &fy, Some((slice, oy)), ty,
                 );

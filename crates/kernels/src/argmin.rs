@@ -1,14 +1,14 @@
-//! Family 2: `argmin` over `f64` scores with lowest-index tie-break.
+//! `argmin` over `f64` scores with lowest-index tie-break.
 //!
 //! The contract (pinned by `tests/argmin_contract.rs` here and in
 //! `dcl_sim`): the result is `(best_score, best_index)` under strict `<`
 //! from the seed `(f64::INFINITY, 0)` — the lowest index wins exact ties,
 //! `NaN` never wins (strict `<` is false), and an empty or all-`NaN` input
 //! returns `(f64::INFINITY, 0)`. Every leader decision in every scenario
-//! rides on this reduction, so all tiers must agree bitwise.
+//! rides on this reduction, so both bodies must agree bitwise.
 //!
-//! The scalar and SIMD tiers fold four interleaved accumulator lanes
-//! (index classes `i mod 4`) and merge them in lane order with the
+//! The production body ([`scalar`]) folds four interleaved accumulator
+//! lanes (index classes `i mod 4`) and merges them in lane order with the
 //! lexicographic rule `(v < best) ∨ (v = best ∧ i < best_i)`; trailing
 //! elements fold after the merge with strict `<`. This is equivalent to
 //! the reference scan: each lane retains the lowest index attaining its
@@ -17,18 +17,16 @@
 //! comparison also makes the `±0.0` equality class tie-break by index,
 //! matching the scan (which keeps the first-seen zero of either sign).
 
-use crate::tier::{family_tier, KernelFamily, KernelTier};
+use crate::tier::{active_tier, KernelTier};
 
-/// Dispatched argmin over a score slice. Returns `(f64::INFINITY, 0)` for
-/// an empty slice. Without an override the family default applies
-/// (scalar — see [`crate::tier::default_family_tier`]); the `Incremental`
-/// tier has no stateful argmin, so it rides the SIMD ceiling.
+/// Argmin over a score slice. Returns `(f64::INFINITY, 0)` for an empty
+/// slice. Runs the four-lane [`scalar`] fold, or the [`reference()`] scan
+/// when the reference tier is forced.
 #[must_use]
 pub fn argmin_f64(scores: &[f64]) -> (f64, usize) {
-    match family_tier(KernelFamily::Argmin) {
+    match active_tier() {
         KernelTier::Reference => reference(scores),
-        KernelTier::Scalar => scalar(scores),
-        KernelTier::Simd | KernelTier::Incremental => simd(scores),
+        KernelTier::Incremental => scalar(scores),
     }
 }
 
@@ -45,28 +43,8 @@ pub fn reference(scores: &[f64]) -> (f64, usize) {
     best
 }
 
-/// Merges lane minima (in lane order) and the scan tail into the final
-/// result. Shared by the scalar and SIMD tiers — the proof obligation
-/// lives in one place.
-#[inline]
-fn merge_lanes_and_tail(lanes: [(f64, usize); 4], tail: &[f64], tail_start: usize) -> (f64, usize) {
-    let mut best = (f64::INFINITY, 0usize);
-    for (v, i) in lanes {
-        if v < best.0 || (v == best.0 && i < best.1) {
-            best = (v, i);
-        }
-    }
-    // Tail indices exceed every lane index, so strict `<` suffices.
-    for (off, &s) in tail.iter().enumerate() {
-        if s < best.0 {
-            best = (s, tail_start + off);
-        }
-    }
-    best
-}
-
-/// Four-accumulator unrolled scan — the scalar mirror of the SIMD lane
-/// fold, autovectorization-friendly and allocation-free.
+/// Four-accumulator unrolled scan: a strict-`<` fold per index class
+/// `i mod 4`, the lane-order merge, then the tail. Allocation-free.
 #[must_use]
 pub fn scalar(scores: &[f64]) -> (f64, usize) {
     let chunks = scores.len() / 4 * 4;
@@ -81,75 +59,19 @@ pub fn scalar(scores: &[f64]) -> (f64, usize) {
         }
         i += 4;
     }
-    merge_lanes_and_tail(lanes, &scores[chunks..], chunks)
-}
-
-/// Explicit-SIMD tier: AVX2 four-lane fold when the CPU has it (runtime
-/// detected), otherwise the scalar mirror.
-#[must_use]
-pub fn simd(scores: &[f64]) -> (f64, usize) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if scores.len() >= 8 && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was verified at runtime on the line
-            // above; the function uses no other unchecked features.
-            return unsafe { avx2::argmin(scores) };
+    let mut best = (f64::INFINITY, 0usize);
+    for (v, i) in lanes {
+        if v < best.0 || (v == best.0 && i < best.1) {
+            best = (v, i);
         }
     }
-    scalar(scores)
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::merge_lanes_and_tail;
-    use std::arch::x86_64::{
-        _mm256_add_epi64, _mm256_blendv_epi8, _mm256_blendv_pd, _mm256_castpd256_pd128,
-        _mm256_castpd_si256, _mm256_castsi256_si128, _mm256_cmp_pd, _mm256_extractf128_pd,
-        _mm256_extracti128_si256, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_set_epi64x,
-        _mm256_set_pd, _mm_cvtsd_f64, _mm_cvtsi128_si64, _mm_unpackhi_epi64, _mm_unpackhi_pd,
-        _CMP_LT_OQ,
-    };
-
-    /// Vertical strict-`<` fold over index classes `i mod 4`, then the
-    /// shared lane-order merge. Lanes that never improve keep the seed
-    /// `(INFINITY, 0)`, which the merge treats exactly like the scan's
-    /// untouched initial state.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn argmin(scores: &[f64]) -> (f64, usize) {
-        let chunks = scores.len() / 4 * 4;
-        let mut vals = _mm256_set1_pd(f64::INFINITY);
-        let mut idxs = _mm256_set1_epi64x(0);
-        let mut cur = _mm256_set_epi64x(3, 2, 1, 0);
-        let step = _mm256_set1_epi64x(4);
-        let mut i = 0;
-        while i < chunks {
-            let v = _mm256_set_pd(scores[i + 3], scores[i + 2], scores[i + 1], scores[i]);
-            // Ordered strict less-than: false for NaN lanes, so NaN never
-            // replaces a lane minimum — same as the scalar `<`.
-            let m = _mm256_cmp_pd::<_CMP_LT_OQ>(v, vals);
-            vals = _mm256_blendv_pd(vals, v, m);
-            idxs = _mm256_blendv_epi8(idxs, cur, _mm256_castpd_si256(m));
-            cur = _mm256_add_epi64(cur, step);
-            i += 4;
+    // Tail indices exceed every lane index, so strict `<` suffices.
+    for (off, &s) in scores[chunks..].iter().enumerate() {
+        if s < best.0 {
+            best = (s, chunks + off);
         }
-        let vlo = _mm256_castpd256_pd128(vals);
-        let vhi = _mm256_extractf128_pd::<1>(vals);
-        let ilo = _mm256_castsi256_si128(idxs);
-        let ihi = _mm256_extracti128_si256::<1>(idxs);
-        let lanes = [
-            (_mm_cvtsd_f64(vlo), _mm_cvtsi128_si64(ilo) as usize),
-            (
-                _mm_cvtsd_f64(_mm_unpackhi_pd(vlo, vlo)),
-                _mm_cvtsi128_si64(_mm_unpackhi_epi64(ilo, ilo)) as usize,
-            ),
-            (_mm_cvtsd_f64(vhi), _mm_cvtsi128_si64(ihi) as usize),
-            (
-                _mm_cvtsd_f64(_mm_unpackhi_pd(vhi, vhi)),
-                _mm_cvtsi128_si64(_mm_unpackhi_epi64(ihi, ihi)) as usize,
-            ),
-        ];
-        merge_lanes_and_tail(lanes, &scores[chunks..], chunks)
     }
+    best
 }
 
 #[cfg(test)]
@@ -158,7 +80,7 @@ mod tests {
 
     #[test]
     fn empty_and_all_nan() {
-        for f in [reference, scalar, simd] {
+        for f in [reference, scalar, argmin_f64] {
             assert_eq!(f(&[]), (f64::INFINITY, 0));
             let (v, i) = f(&[f64::NAN; 9]);
             assert!(v.is_infinite() && v > 0.0);
@@ -169,7 +91,7 @@ mod tests {
     #[test]
     fn ties_break_to_lowest_index() {
         let scores = [3.0, 1.0, 2.0, 1.0, 1.0, 5.0, 1.0, 1.0, 1.0];
-        for f in [reference, scalar, simd] {
+        for f in [reference, scalar, argmin_f64] {
             assert_eq!(f(&scores), (1.0, 1));
         }
     }
@@ -179,7 +101,7 @@ mod tests {
         let scores = [2.0, 0.0, -0.0, 1.0, -0.0, 0.0, 4.0, 9.0, 9.0];
         let anchor = reference(&scores);
         assert_eq!(anchor.1, 1);
-        for f in [scalar, simd] {
+        for f in [scalar, argmin_f64] {
             let got = f(&scores);
             assert_eq!(got.1, anchor.1);
             assert_eq!(got.0.to_bits(), anchor.0.to_bits());
@@ -190,8 +112,32 @@ mod tests {
     fn minimum_in_tail_wins() {
         let mut scores = vec![5.0; 13];
         scores[12] = -1.0;
-        for f in [reference, scalar, simd] {
+        for f in [reference, scalar, argmin_f64] {
             assert_eq!(f(&scores), (-1.0, 12));
+        }
+    }
+
+    #[test]
+    fn fold_matches_scan_at_every_length_and_position() {
+        // Every lane/tail boundary up to three full chunks plus a tail: the
+        // minimum alone, tied with a later copy, and behind a leading NaN.
+        for len in 1..=15usize {
+            for pos in 0..len {
+                let mut scores: Vec<f64> = (0..len).map(|i| 10.0 + (i % 3) as f64).collect();
+                scores[pos] = -2.0;
+                let want = (-2.0, pos);
+                assert_eq!(scalar(&scores), want, "len {len} pos {pos}");
+                for later in pos + 1..len {
+                    let mut tied = scores.clone();
+                    tied[later] = -2.0;
+                    assert_eq!(scalar(&tied), want, "len {len} tie {pos},{later}");
+                }
+                if pos > 0 {
+                    scores[0] = f64::NAN;
+                    assert_eq!(scalar(&scores), want, "len {len} pos {pos} after NaN");
+                    assert_eq!(reference(&scores), want);
+                }
+            }
         }
     }
 }

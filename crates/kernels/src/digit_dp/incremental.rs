@@ -1,5 +1,5 @@
-//! Incremental tier: per-edge DP prefix states cached across the seed
-//! schedule.
+//! The incremental digit DP: per-edge DP prefix states cached across the
+//! seed schedule.
 //!
 //! # Why a prefix is cacheable
 //!
@@ -20,7 +20,7 @@
 //! # Why it is bit-identical
 //!
 //! No float operation is reordered, fused, or skipped relative to the
-//! reference tier: the prefix state is produced by the reference
+//! reference body: the prefix state is produced by the reference
 //! transition applied to the same digits in the same order, and the
 //! replay continues that exact sequence. Caching only changes *when* the
 //! leading steps run, not *what* they compute — so every probability, and
@@ -29,7 +29,7 @@
 //! and the whole-pipeline `kernel_tier_oracle`).
 //!
 //! The per-digit transition replicates the [`scalar`](super::scalar)
-//! tier's entry emission (nonzero pmf entries in ascending pmf-index
+//! DP's entry emission (nonzero pmf entries in ascending pmf-index
 //! order — the reference's visit order) reading [`BitForm`]s directly.
 //!
 //! # Cost
@@ -37,8 +37,7 @@
 //! A fresh evaluation is `3` DPs × `b` digits per candidate; the cached
 //! replay is `3` DPs × `(s+1)` digits plus an `O(b−s)` rebuild once per
 //! (edge, slice). Averaged over the schedule (slice `s` hosts `m+1` seed
-//! bits), the digit work roughly halves, and the per-call
-//! `PackedForms::pack` of the SoA tiers disappears entirely.
+//! bits), the digit work roughly halves.
 
 use crate::forms::BitForm;
 
@@ -194,7 +193,7 @@ fn marg_prefix(forms: &[BitForm], t: u64, slice: usize, b: usize) -> [f64; 2] {
 
 /// Resumes a marginal prefix: digit `slice` with the override form, then
 /// the trailing digits. Precondition: `t < 2^b` (guards resolved by
-/// callers, as in every tier).
+/// callers, as in every body).
 fn marg_finish(mut st: [f64; 2], forms: &[BitForm], over: BitForm, t: u64, slice: usize) -> f64 {
     marg_step(&mut st, over.prob_one(), t >> slice & 1);
     for i in (0..slice).rev() {
@@ -203,7 +202,7 @@ fn marg_finish(mut st: [f64; 2], forms: &[BitForm], over: BitForm, t: u64, slice
     st[1]
 }
 
-/// One joint DP step: the scalar tier's entry emission (nonzero pmf
+/// One joint DP step: the SoA DP's entry emission (nonzero pmf
 /// entries in ascending pmf-index order) and the reference transition,
 /// reading the pair of [`BitForm`]s directly.
 #[inline]

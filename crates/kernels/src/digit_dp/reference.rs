@@ -1,8 +1,8 @@
-//! Reference tier: the digit DP exactly as it lived in
+//! Reference bodies: the digit DP exactly as it lived in
 //! `dcl_derand::slice::SliceFamily` and the edge aggregation exactly as it
 //! lived in `dcl_core::derand_step` — moved, not rewritten. `self.b` became
 //! `forms.len()`; every float operation and its order is unchanged. The
-//! other tiers are proven against this code.
+//! other bodies are proven against this code.
 
 use crate::forms::{pair_dist_of_forms, BitForm};
 

@@ -34,7 +34,7 @@
 //! loop's association. The marginal suffix is the one-addition case
 //! `p_lt + p_eq` or nothing.
 //!
-//! The prefix and resume reuse the scalar tier's per-digit steps, so the
+//! The prefix and resume reuse the SoA DP's per-digit steps, so the
 //! whole split replays [`prob_joint_lt`](super::scalar::prob_joint_lt) /
 //! [`prob_lt`](super::scalar::prob_lt)
 //! operation for operation (`tests/segment_split.rs` checks this with
@@ -42,7 +42,7 @@
 //! suffix is compiled and the resume walks down to digit 0 instead.
 
 use super::scalar::{joint_step, marg_step};
-use super::Soa;
+use super::PackedForms;
 
 /// `Pr[z_u ∈ [ul, uh) ∧ z_v ∈ [vl, vh)]` from its four joint-CDF corners
 /// `[J(uh, vh), J(ul, vh), J(uh, vl), J(ul, vl)]`, by inclusion–exclusion
@@ -107,7 +107,7 @@ impl Tail {
 
 /// The joint suffix over digits `hi-1 ..= 0`, or `None` when one of them
 /// is not known for both inputs.
-fn compile_tail(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64, hi: usize) -> Option<Tail> {
+fn compile_tail(sx: &PackedForms, t_x: u64, sy: &PackedForms, t_y: u64, hi: usize) -> Option<Tail> {
     let low = low_mask(hi);
     if sx.known & sy.known & low != low {
         return None;
@@ -148,7 +148,7 @@ impl MarginalSplit {
     /// below `hi` (`hi ≤ lo ≤ b`). `s` must agree with every form later
     /// passed to [`MarginalSplit::resume`] outside the digits `hi .. lo`.
     #[must_use]
-    pub fn new(s: &Soa, t: u64, lo: usize, hi: usize) -> Self {
+    pub fn new(s: &PackedForms, t: u64, lo: usize, hi: usize) -> Self {
         debug_assert!(hi <= lo && lo <= s.b, "split {hi}..{lo} outside 0..{}", s.b);
         if t >= 1 << s.b {
             // The scalar guard: a saturated threshold is certain.
@@ -178,7 +178,7 @@ impl MarginalSplit {
     /// `hi .. lo` (all digits below `lo` in the fallback) are read.
     #[inline]
     #[must_use]
-    pub fn resume(&self, s: &Soa) -> f64 {
+    pub fn resume(&self, s: &PackedForms) -> f64 {
         let mut st = self.state;
         for i in (self.stop..self.lo).rev() {
             marg_step(&mut st, s, self.t, i);
@@ -220,7 +220,14 @@ impl JointSplit {
     /// pair later passed to [`JointSplit::resume`] outside the digits
     /// `hi .. lo`.
     #[must_use]
-    pub fn new(sx: &Soa, t_x: u64, sy: &Soa, t_y: u64, lo: usize, hi: usize) -> Self {
+    pub fn new(
+        sx: &PackedForms,
+        t_x: u64,
+        sy: &PackedForms,
+        t_y: u64,
+        lo: usize,
+        hi: usize,
+    ) -> Self {
         debug_assert_eq!(sx.b, sy.b, "inputs must share the output width");
         debug_assert!(
             hi <= lo && lo <= sx.b,
@@ -256,7 +263,7 @@ impl JointSplit {
     /// digits `hi .. lo` (all digits below `lo` in the fallback) are read.
     #[inline]
     #[must_use]
-    pub fn resume(&self, sx: &Soa, sy: &Soa) -> f64 {
+    pub fn resume(&self, sx: &PackedForms, sy: &PackedForms) -> f64 {
         match self.0 {
             JointKind::Joint {
                 t_x,
@@ -309,8 +316,8 @@ mod tests {
             let n = 1u64 << h;
             for (ox, oy) in (0..n).flat_map(|x| (0..n).map(move |y| (x, y))) {
                 let (sx, sy) = (
-                    Soa::pack(&known(ox, h), None),
-                    Soa::pack(&known(oy, h), None),
+                    PackedForms::from_forms(&known(ox, h)),
+                    PackedForms::from_forms(&known(oy, h)),
                 );
                 for (t_x, t_y) in (0..n).flat_map(|x| (0..n).map(move |y| (x, y))) {
                     let tail = compile_tail(&sx, t_x, &sy, t_y, h).expect("all digits known");

@@ -2,7 +2,7 @@
 //!
 //! Moved verbatim from `dcl_derand::slice` (which re-exports them, so
 //! existing imports keep working): the kernels crate sits *below*
-//! `dcl_derand` in the dependency order, and the DP tiers need these types
+//! `dcl_derand` in the dependency order, and the DP bodies need these types
 //! without a cycle.
 
 /// Affine form of one output bit over the free seed bits of its slice:

@@ -1,61 +1,52 @@
-//! Arch-dispatched numeric kernels for the simulator's hot loops.
+//! Numeric kernels for the simulator's hot loops.
 //!
 //! ~90% of Theorem 1.1 runtime is the Lemma 2.6 per-edge
 //! conditional-expectation loop; the rest of the budget is dominated by the
 //! drivers' `argmin_f64` candidate selection and the wire-accounting
-//! arithmetic. This crate owns those three numeric families as *kernels*
-//! with four implementation tiers, selected at runtime by one
-//! dispatch module ([`tier`]):
+//! arithmetic. This crate owns those numeric families as *kernels*: one
+//! **reference** body per kernel — the code exactly as it lived at its
+//! original call site, moved verbatim, the semantic anchor — and at most
+//! one **production** body proven bit-identical to it:
 //!
-//! - **reference** — the code exactly as it lived at its original call
-//!   site, moved verbatim. The semantic anchor every other tier is proven
-//!   against.
-//! - **scalar** — SoA (struct-of-arrays) restructured, allocation-free,
-//!   autovectorization-friendly. Replays the reference's float operation
-//!   sequence step for step, so results are bit-identical by construction.
-//! - **simd** — explicit stable `std::arch` SIMD on x86_64 (SSE2 for the
-//!   digit DP, AVX2 for `argmin`/`bit_len` when detected at runtime via
-//!   [`std::arch::is_x86_feature_detected`]), falling back to `scalar`
-//!   elsewhere.
-//! - **incremental** — stateful digit-DP evaluation
-//!   ([`digit_dp::incremental`]): callers following the monotone seed
-//!   schedule carry a per-edge [`digit_dp::EdgeDpCache`] of DP prefix
-//!   states, so each seed-bit evaluation replays only the overridden
-//!   digit and the trailing digits instead of the full width. The cached
-//!   prefix is a literal memo of the reference computation's leading
-//!   steps, so results stay bit-identical. Kernels with no stateful
-//!   variant ride the SIMD ceiling under this tier.
+//! - the digit DP's SoA evaluation ([`digit_dp::scalar`]) on
+//!   [`digit_dp::PackedForms`], which the segmented seed fixing
+//!   ([`digit_dp::segment`]) resumes and `joint_coin_probs_packed` runs;
+//! - the per-edge DP prefix cache ([`digit_dp::incremental`]): callers
+//!   following the monotone seed schedule carry a per-edge
+//!   [`digit_dp::EdgeDpCache`], so each seed-bit evaluation replays only
+//!   the overridden digit and the trailing digits instead of the full
+//!   width;
+//! - the four-lane `argmin` fold ([`argmin::scalar`]).
+//!
+//! Kernels whose measured production body is the reference one (the
+//! stateless array-of-structs digit-DP entry points, the bit-accounting
+//! and ratio arithmetic) have only that body.
 //!
 //! # The float-association rule
 //!
-//! Every tier must produce **bit-identical** `f64` results, not merely
-//! approximately equal ones: PRs 2–6 property-tested the whole system
+//! Every body must produce **bit-identical** `f64` results, not merely
+//! approximately equal ones: the whole system is property-tested
 //! bit-identical across backends, bandwidth caps, and transports, and the
 //! kernels tier must not be the layer that breaks that contract. The rule
-//! that makes this possible: *a tier may reorder independent work, but
-//! never the accumulation order of any single float accumulator*. The SIMD
-//! tiers therefore vectorize **across independent DP instances** (one
-//! instance per lane, each lane replaying the scalar op sequence exactly)
-//! rather than across the digits of one instance, and `argmin` uses a
-//! fixed-width lane reduction with a defined lane-order combine. Masked
-//! lanes contribute `+0.0` adds, which are bit-preserving because every
-//! accumulated term is finite and non-negative (probabilities). The
-//! cross-tier property tests in `tests/tier_equivalence.rs` and the
-//! whole-pipeline oracle in the facade's `kernel_tier_oracle.rs` enforce
-//! the contract.
+//! that makes this possible: *a body may reorder independent work, but
+//! never the accumulation order of any single float accumulator*. The SoA
+//! and incremental digit DPs replay the reference's float operations in
+//! the reference's order; `argmin` merges its lanes in a defined
+//! lane-order combine. `tests/tier_equivalence.rs` compares each
+//! production body with its reference directly, and the facade's
+//! `kernel_tier_oracle.rs` checks the whole pipeline.
 //!
-//! # Dispatch
+//! # The tier switch
 //!
-//! [`tier::family_tier`] picks the tier per kernel family: an explicit
-//! override — [`tier::set_active_tier`] or the `DCL_KERNEL_TIER`
-//! environment variable (`reference` / `scalar` / `simd` /
-//! `incremental`) — forces every family to one tier (the tier-matrix
-//! tests rely on this), otherwise each family uses its measured-best
-//! default ([`tier::default_family_tier`], pinned against the committed
-//! `BENCH_bench.json` by `tests/family_dispatch.rs`).
+//! [`tier::active_tier`] is [`KernelTier::Incremental`] unless
+//! [`tier::set_active_tier`] or `DCL_KERNEL_TIER=reference|incremental`
+//! forces a tier. Only `digit_dp::edge_shares_cached` and
+//! `argmin::argmin_f64` read it; under `reference` they run the reference
+//! bodies, which is how the whole-pipeline oracle checks that the drivers
+//! honour the `EdgeDpCache` contract.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod argmin;
 pub mod bits;
@@ -65,7 +56,4 @@ pub mod ratio;
 pub mod tier;
 
 pub use forms::{pair_dist_of_forms, BitForm, PairDist};
-pub use tier::{
-    active_tier, clear_active_tier, default_family_tier, detected_tier, dispatch_label,
-    family_tier, set_active_tier, simd_features, KernelFamily, KernelTier,
-};
+pub use tier::{active_tier, clear_active_tier, set_active_tier, KernelTier};

@@ -1,94 +1,62 @@
-//! Tier selection: one dispatch decision per process, refined per family.
+//! The kernel tier switch: `incremental` (the default) or `reference`.
 //!
 //! The decision order is
 //!
 //! 1. [`set_active_tier`] — an explicit in-process override (tests force
 //!    each tier this way without re-spawning); [`clear_active_tier`]
 //!    removes it;
-//! 2. the `DCL_KERNEL_TIER` environment variable (`reference`, `scalar`,
-//!    `simd` or `incremental`), read once on first use;
-//! 3. the **per-family default** ([`default_family_tier`]): the committed
-//!    `BENCH_bench.json` baseline shows the best tier differs per kernel
-//!    family — the digit DP wants the incremental/SIMD path, `argmin`
-//!    wants the unrolled scalar fold, and `bit_len_batch` is fastest as
-//!    the plain reference loop (the SoA/SIMD batching overhead exceeds the
-//!    work). A global "best" tier therefore regresses some family on every
-//!    machine; defaults are per family, while an explicit override (1. or
-//!    2.) still forces *all* families for tier-matrix tests.
+//! 2. the `DCL_KERNEL_TIER` environment variable (`reference` or
+//!    `incremental`), read once on first use;
+//! 3. [`KernelTier::Incremental`].
 //!
-//! Requesting `simd` (or `incremental`) on a non-x86_64 build is allowed
-//! and falls back to the scalar implementations kernel by kernel — a tier
-//! names a *ceiling*, not a requirement, so sweep scripts can export
-//! `DCL_KERNEL_TIER=incremental` unconditionally.
+//! Only two kernels read the switch: `digit_dp::edge_shares_cached` and
+//! `argmin::argmin_f64`. Forcing `reference` runs the verbatim reference
+//! bodies there, so the whole-pipeline oracle (`tests/kernel_tier_oracle.rs`
+//! in the facade crate) checks end to end that the drivers honour the
+//! `EdgeDpCache` contract: every `Report` must equal the reference run's.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which implementation tier the kernels dispatch to.
+/// Which body the tier-reading kernels run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelTier {
     /// The original call-site code, moved verbatim. Semantic anchor.
     Reference,
-    /// SoA, allocation-free, autovectorization-friendly. Bit-identical to
-    /// reference by replaying its float op sequence.
-    Scalar,
-    /// Explicit `std::arch` SIMD where the CPU supports it, scalar
-    /// fallback elsewhere. Bit-identical by lane-parallel independence.
-    Simd,
-    /// Stateful evaluation: callers that follow the monotone seed schedule
-    /// carry a per-edge DP prefix cache (`digit_dp::incremental`), and the
-    /// stateless entry points use the best measured stateless tier.
-    /// Bit-identical because the cached prefix is a literal memo of the
-    /// reference computation's leading digits.
+    /// The production bodies: the per-edge DP prefix cache
+    /// (`digit_dp::incremental`) and the four-lane argmin fold.
+    /// Bit-identical to [`KernelTier::Reference`].
     Incremental,
 }
 
-/// The kernel families with independent default tiers. An explicit
-/// override ([`set_active_tier`] / `DCL_KERNEL_TIER`) forces every family
-/// to the same tier; without one, each family uses its measured best
-/// ([`default_family_tier`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelFamily {
-    /// The Lemma 2.6 digit DP and its per-edge aggregation (`digit_dp`).
-    DigitDp,
-    /// The `argmin_f64` reduction behind every leader decision.
-    Argmin,
-    /// The `bit_len_batch` wire-accounting kernel.
-    Bits,
-    /// The `recip_batch` / `ratio_batch` arithmetic kernels.
-    Ratio,
-}
-
 impl KernelTier {
-    /// Stable lower-case name (`"reference"`, `"scalar"`, `"simd"`,
-    /// `"incremental"`) — the same spelling `DCL_KERNEL_TIER` accepts and
-    /// bench/MachineProfile headers record.
+    /// Stable lower-case name (`"reference"`, `"incremental"`) — the same
+    /// spelling `DCL_KERNEL_TIER` accepts and bench/MachineProfile headers
+    /// record.
     #[must_use]
     pub const fn name(self) -> &'static str {
         match self {
             KernelTier::Reference => "reference",
-            KernelTier::Scalar => "scalar",
-            KernelTier::Simd => "simd",
             KernelTier::Incremental => "incremental",
         }
     }
 
-    /// All tiers, in escalation order. Drives tier-matrix tests.
+    /// The tier spelled `name` (see [`KernelTier::name`]), or `None` for
+    /// any other string.
     #[must_use]
-    pub const fn all() -> [KernelTier; 4] {
-        [
-            KernelTier::Reference,
-            KernelTier::Scalar,
-            KernelTier::Simd,
-            KernelTier::Incremental,
-        ]
+    pub fn from_name(name: &str) -> Option<KernelTier> {
+        KernelTier::all().into_iter().find(|t| t.name() == name)
+    }
+
+    /// Both tiers, reference first. Drives tier-matrix tests.
+    #[must_use]
+    pub const fn all() -> [KernelTier; 2] {
+        [KernelTier::Reference, KernelTier::Incremental]
     }
 
     fn from_u8(v: u8) -> Option<KernelTier> {
         match v {
             1 => Some(KernelTier::Reference),
-            2 => Some(KernelTier::Scalar),
-            3 => Some(KernelTier::Simd),
-            4 => Some(KernelTier::Incremental),
+            2 => Some(KernelTier::Incremental),
             _ => None,
         }
     }
@@ -96,9 +64,7 @@ impl KernelTier {
     const fn as_u8(self) -> u8 {
         match self {
             KernelTier::Reference => 1,
-            KernelTier::Scalar => 2,
-            KernelTier::Simd => 3,
-            KernelTier::Incremental => 4,
+            KernelTier::Incremental => 2,
         }
     }
 }
@@ -110,18 +76,6 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 static ENV: AtomicU8 = AtomicU8::new(0);
 const NO_ENV: u8 = u8::MAX;
 
-/// The tier the current CPU supports without an override.
-#[must_use]
-pub fn detected_tier() -> KernelTier {
-    if cfg!(target_arch = "x86_64") {
-        // SSE2 is architecturally guaranteed on x86_64; AVX2 paths probe
-        // `is_x86_feature_detected!` at their own call sites.
-        KernelTier::Simd
-    } else {
-        KernelTier::Scalar
-    }
-}
-
 fn tier_from_env() -> Option<KernelTier> {
     match ENV.load(Ordering::Relaxed) {
         0 => {}
@@ -129,104 +83,35 @@ fn tier_from_env() -> Option<KernelTier> {
         v => return KernelTier::from_u8(v),
     }
     let decided = std::env::var("DCL_KERNEL_TIER").ok().map(|raw| {
-        match raw.as_str() {
-        "reference" => KernelTier::Reference,
-        "scalar" => KernelTier::Scalar,
-        "simd" => KernelTier::Simd,
-        "incremental" => KernelTier::Incremental,
-        other => {
-            panic!("DCL_KERNEL_TIER must be one of reference|scalar|simd|incremental, got {other:?}")
-        }
-    }
+        KernelTier::from_name(&raw).unwrap_or_else(|| {
+            panic!("DCL_KERNEL_TIER must be one of reference|incremental, got {raw:?}")
+        })
     });
     // A racing first-use stores an identically-derived value.
     ENV.store(decided.map_or(NO_ENV, KernelTier::as_u8), Ordering::Relaxed);
     decided
 }
 
-/// The explicit override in effect, if any: [`set_active_tier`] wins over
-/// `DCL_KERNEL_TIER`; `None` means per-family defaults apply.
-#[must_use]
-pub fn tier_override() -> Option<KernelTier> {
-    KernelTier::from_u8(ACTIVE.load(Ordering::Relaxed)).or_else(tier_from_env)
-}
-
-/// The measured-best default tier of `family` when no override is in
-/// effect, from the committed `BENCH_bench.json` baseline (the
-/// `kernels/*/{tier}` rows). `family_dispatch.rs` pins these choices
-/// against the committed numbers.
-#[must_use]
-pub fn default_family_tier(family: KernelFamily) -> KernelTier {
-    match family {
-        // edge_shares: incremental ≻ simd ≻ scalar ≻ reference.
-        KernelFamily::DigitDp => KernelTier::Incremental,
-        // argmin/4096: scalar (unrolled four-lane fold) edges out AVX2.
-        KernelFamily::Argmin => KernelTier::Scalar,
-        // bit_len_batch/4096: the reference `leading_zeros` loop wins;
-        // batching overhead exceeds the one-instruction work item.
-        KernelFamily::Bits => KernelTier::Reference,
-        // No committed measurement separates the tiers; keep detection.
-        KernelFamily::Ratio => detected_tier(),
-    }
-}
-
-/// The tier `family` dispatches to right now: the explicit override if one
-/// is in effect, else the family's measured default.
-#[must_use]
-pub fn family_tier(family: KernelFamily) -> KernelTier {
-    tier_override().unwrap_or_else(|| default_family_tier(family))
-}
-
-/// The single tier every family dispatches to under an override, else the
-/// CPU-detected ceiling. Kept for call sites that need *one* tier name
-/// (legacy dispatch, log lines); family-aware code uses [`family_tier`].
+/// The tier in effect: [`set_active_tier`] wins over `DCL_KERNEL_TIER`,
+/// which wins over the default [`KernelTier::Incremental`].
 #[must_use]
 pub fn active_tier() -> KernelTier {
-    tier_override().unwrap_or_else(detected_tier)
+    KernelTier::from_u8(ACTIVE.load(Ordering::Relaxed))
+        .or_else(tier_from_env)
+        .unwrap_or(KernelTier::Incremental)
 }
 
-/// The dispatch decision as a stable label for bench/profile headers:
-/// the forced tier's name under an override, `"per-family"` otherwise.
-#[must_use]
-pub fn dispatch_label() -> &'static str {
-    match tier_override() {
-        Some(t) => t.name(),
-        None => "per-family",
-    }
-}
-
-/// Forces every family to `tier` for the rest of the process (until the
-/// next call or [`clear_active_tier`]). Test-matrix entry point: the tier
-/// oracle runs each scenario once per tier in a single process through
-/// this.
+/// Forces `tier` for the rest of the process (until the next call or
+/// [`clear_active_tier`]). Test-matrix entry point: the tier oracle runs
+/// each scenario once per tier in a single process through this.
 pub fn set_active_tier(tier: KernelTier) {
     ACTIVE.store(tier.as_u8(), Ordering::Relaxed);
 }
 
 /// Removes the in-process override, restoring `DCL_KERNEL_TIER` (if set)
-/// or the per-family defaults.
+/// or the default.
 pub fn clear_active_tier() {
     ACTIVE.store(0, Ordering::Relaxed);
-}
-
-/// The `target_feature` set the SIMD tier can actually use on this
-/// machine, as a stable `+`-joined string (`"none"` off x86_64). Recorded
-/// in the `MachineProfile` header of committed `BENCH_*.json` files so
-/// baselines state what produced them.
-#[must_use]
-pub fn simd_features() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            "sse2+avx2"
-        } else {
-            "sse2"
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        "none"
-    }
 }
 
 #[cfg(test)]
@@ -236,25 +121,25 @@ mod tests {
     #[test]
     fn tier_names_are_stable() {
         assert_eq!(KernelTier::Reference.name(), "reference");
-        assert_eq!(KernelTier::Scalar.name(), "scalar");
-        assert_eq!(KernelTier::Simd.name(), "simd");
         assert_eq!(KernelTier::Incremental.name(), "incremental");
     }
 
     #[test]
-    fn set_active_tier_wins_over_detection() {
+    fn from_name_roundtrips_and_rejects_unknown() {
+        for t in KernelTier::all() {
+            assert_eq!(KernelTier::from_name(t.name()), Some(t));
+        }
+        // The deleted tiers' names and near-misses are not tiers.
+        for bad in ["scalar", "simd", "avx2", "", "Reference", " incremental"] {
+            assert_eq!(KernelTier::from_name(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn set_active_tier_wins_over_default() {
         for t in KernelTier::all() {
             set_active_tier(t);
             assert_eq!(active_tier(), t);
-            // An override forces every family.
-            for f in [
-                KernelFamily::DigitDp,
-                KernelFamily::Argmin,
-                KernelFamily::Bits,
-                KernelFamily::Ratio,
-            ] {
-                assert_eq!(family_tier(f), t);
-            }
         }
         clear_active_tier();
     }
@@ -266,22 +151,5 @@ mod tests {
         }
         assert_eq!(KernelTier::from_u8(0), None);
         assert_eq!(KernelTier::from_u8(9), None);
-    }
-
-    #[test]
-    fn family_defaults_are_per_family() {
-        assert_eq!(
-            default_family_tier(KernelFamily::DigitDp),
-            KernelTier::Incremental
-        );
-        assert_eq!(
-            default_family_tier(KernelFamily::Argmin),
-            KernelTier::Scalar
-        );
-        assert_eq!(
-            default_family_tier(KernelFamily::Bits),
-            KernelTier::Reference
-        );
-        assert_eq!(default_family_tier(KernelFamily::Ratio), detected_tier());
     }
 }

@@ -8,22 +8,13 @@
 //! unsplit scalar DP on the candidate's forms bit for bit — including
 //! thresholds `0` and `2^b`, equal masks, and the fallback where a digit
 //! below `hi` is not known (no suffix is compiled then). The four-corner
-//! interval combine must also equal `joint_interval_packed` under every
-//! forced kernel tier.
+//! interval combine must also equal the reference interval
+//! (`reference::joint_interval`).
 
 use dcl_kernels::digit_dp::segment::{interval, JointSplit, MarginalSplit};
-use dcl_kernels::digit_dp::{joint_interval_packed, scalar, PackedForms};
-use dcl_kernels::{clear_active_tier, set_active_tier, BitForm, KernelTier};
+use dcl_kernels::digit_dp::{reference, scalar, PackedForms};
+use dcl_kernels::BitForm;
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
-
-/// Tier forcing mutates one process-global; serialize the tests here.
-fn lock_tier() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
 
 /// One digit of a same-slice form pair from raw generator words: known
 /// with probability 1/4, otherwise free with independent 4-bit masks, or
@@ -94,6 +85,11 @@ fn candidate(base: &[BitForm], alt: &[BitForm], lo: usize, hi: usize) -> PackedF
         })
         .collect();
     PackedForms::from_forms(&forms)
+}
+
+/// The unpacked forms of `packed`, for the array-of-structs reference.
+fn forms_of(packed: &PackedForms) -> Vec<BitForm> {
+    (0..packed.digits()).map(|i| packed.form(i)).collect()
 }
 
 proptest! {
@@ -170,10 +166,10 @@ proptest! {
         }
     }
 
-    /// The four-corner combine over split corners equals the interval
-    /// kernel under every forced tier.
+    /// The four-corner combine over split corners equals the reference
+    /// interval on the candidate's forms.
     #[test]
-    fn interval_combine_matches_every_tier(
+    fn interval_combine_matches_reference(
         b in 1usize..=16,
         floor_raw in any::<u64>(),
         raws in proptest::collection::vec(any::<u64>(), 16),
@@ -200,17 +196,13 @@ proptest! {
             corner(u[1], v[0]),
             corner(u[0], v[0]),
         ]);
-        let _guard = lock_tier();
-        for tier in KernelTier::all() {
-            set_active_tier(tier);
-            let kernel = joint_interval_packed(&cx, u[0], u[1], &cy, v[0], v[1]);
-            clear_active_tier();
-            prop_assert_eq!(
-                combined.to_bits(),
-                kernel.to_bits(),
-                "tier {}, interval [{}, {}) x [{}, {}), split {}..{}",
-                tier.name(), u[0], u[1], v[0], v[1], hi, lo
-            );
-        }
+        let (fx, fy) = (forms_of(&cx), forms_of(&cy));
+        let oracle = reference::joint_interval(&fx, u[0], u[1], &fy, v[0], v[1]);
+        prop_assert_eq!(
+            combined.to_bits(),
+            oracle.to_bits(),
+            "interval [{}, {}) x [{}, {}), split {}..{}",
+            u[0], u[1], v[0], v[1], hi, lo
+        );
     }
 }

@@ -1,61 +1,31 @@
-//! Cross-tier bit-identity property tests.
+//! Production bodies against their reference bodies, bit for bit.
 //!
-//! Every kernel family must produce **bit-identical** `f64` results under
-//! all four tiers (`reference` / `scalar` / `simd` / `incremental`) — the
-//! float-association rule of the crate docs, checked here with `to_bits`
-//! equality rather than epsilon comparison. Inputs are arbitrary
-//! same-slice form vectors, thresholds (including the inclusive `t = 2^b`
-//! edge) and single-position overrides derived by real "fix one seed bit"
-//! semantics. The stateful incremental evaluator is additionally driven
-//! through full monotone seed schedules, checking warm-cache vs fresh
-//! equality after every fix.
+//! Every kernel's production body must produce **bit-identical** `f64`
+//! results to its verbatim reference body — the float-association rule of
+//! the crate docs, checked here with `to_bits` equality rather than
+//! epsilon comparison. Each property calls both bodies directly, so no
+//! test here touches the process-global tier switch: the SoA digit DPs
+//! (`scalar::{prob_lt, prob_joint_lt, joint_coin_probs}`) and their
+//! interval combine against `reference::*`, the four-lane argmin fold
+//! against the scan, and the cached `incremental::edge_shares` against
+//! `reference::edge_shares`. Inputs are arbitrary same-slice form vectors,
+//! thresholds (including the inclusive `t = 2^b` edge) and single-position
+//! overrides derived by real "fix one seed bit" semantics. The stateful
+//! incremental evaluator is additionally driven through full monotone seed
+//! schedules, checking warm-cache vs fresh equality after every fix.
 
-use dcl_kernels::digit_dp::{incremental, EdgeDpCache};
-use dcl_kernels::{argmin, bits, digit_dp, ratio};
-use dcl_kernels::{clear_active_tier, set_active_tier, BitForm, KernelTier};
+use dcl_kernels::digit_dp::{incremental, reference, scalar, segment, EdgeDpCache, PackedForms};
+use dcl_kernels::{argmin, digit_dp, ratio, BitForm};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 
-/// Tier forcing mutates one process-global; serialize the tests in this
-/// binary so no case observes a foreign tier mid-matrix.
-fn lock_tier() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
-
-/// Runs `f` once per tier (reference, scalar, simd, incremental — in that
-/// order) and restores per-family dispatch afterwards.
-fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 4] {
-    let _guard = lock_tier();
-    let out = KernelTier::all().map(|tier| {
-        set_active_tier(tier);
-        f()
-    });
-    clear_active_tier();
-    out
-}
-
-fn assert_tiers_agree<T: PartialEq + std::fmt::Debug>(
-    label: &str,
-    results: [T; 4],
-) -> Result<(), TestCaseError> {
-    let [reference, scalar, simd, incremental] = results;
-    prop_assert_eq!(
-        &reference,
-        &scalar,
-        "{}: scalar diverged from reference",
-        label
-    );
-    prop_assert_eq!(&reference, &simd, "{}: simd diverged from reference", label);
-    prop_assert_eq!(
-        &reference,
-        &incremental,
-        "{}: incremental diverged from reference",
-        label
-    );
-    Ok(())
+/// Packs `forms` with position `p` replaced by `f` when `over = Some((p, f))`
+/// — the SoA counterpart of the reference bodies' override argument.
+fn pack(forms: &[BitForm], over: Option<(usize, BitForm)>) -> PackedForms {
+    let mut packed = PackedForms::from_forms(forms);
+    if let Some((p, f)) = over {
+        packed.set_form(p, f);
+    }
+    packed
 }
 
 /// Decodes two same-slice form vectors of `b` digits from raw generator
@@ -131,10 +101,10 @@ fn fix_forms(fx: BitForm, fy: BitForm, which: u64, val: bool) -> (BitForm, BitFo
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Marginal, joint and four-outcome coin DPs are bit-identical across
-    /// tiers, with and without single-position overrides.
+    /// The SoA marginal, joint and four-outcome coin DPs are bit-identical
+    /// to the reference, with and without single-position overrides.
     #[test]
-    fn digit_dp_probs_bit_identical_across_tiers(
+    fn soa_digit_dp_matches_reference(
         b in 1usize..=6,
         s_free_bits in any::<u64>(),
         offs in any::<u64>(),
@@ -159,24 +129,42 @@ proptest! {
             (None, None)
         };
 
-        let results = per_tier(|| {
-            let marginal_x = digit_dp::prob_lt_override(&fx, over_x, tx).to_bits();
-            let marginal_y = digit_dp::prob_lt_override(&fy, over_y, ty).to_bits();
-            let joint =
-                digit_dp::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits();
-            let coins = digit_dp::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
-                .map(f64::to_bits);
-            (marginal_x, marginal_y, joint, coins)
-        });
-        assert_tiers_agree("digit_dp probs", results)?;
+        let (sx, sy) = (pack(&fx, over_x), pack(&fy, over_y));
+        prop_assert_eq!(
+            scalar::prob_lt(&sx, tx).to_bits(),
+            reference::prob_lt_override(&fx, over_x, tx).to_bits(),
+            "marginal x"
+        );
+        prop_assert_eq!(
+            scalar::prob_lt(&sy, ty).to_bits(),
+            reference::prob_lt_override(&fy, over_y, ty).to_bits(),
+            "marginal y"
+        );
+        prop_assert_eq!(
+            scalar::prob_joint_lt(&sx, tx, &sy, ty).to_bits(),
+            reference::prob_joint_lt_override(&fx, over_x, tx, &fy, over_y, ty).to_bits(),
+            "joint"
+        );
+        let coins = reference::joint_coin_probs_override(&fx, over_x, tx, &fy, over_y, ty)
+            .map(f64::to_bits);
+        prop_assert_eq!(
+            scalar::joint_coin_probs(&sx, tx, &sy, ty).map(f64::to_bits),
+            coins,
+            "coins"
+        );
+        prop_assert_eq!(
+            digit_dp::joint_coin_probs_packed(&sx, tx, &sy, ty).map(f64::to_bits),
+            coins,
+            "packed entry point"
+        );
     }
 
-    /// The per-edge aggregation kernels (`edge_shares`, `joint_interval`)
-    /// are bit-identical across tiers — these are the entry points the
-    /// SIMD tier actually lane-pairs, so they exercise the masked-lane
-    /// `+0.0` argument directly.
+    /// The per-edge aggregations are bit-identical to the reference: the
+    /// cached `edge_shares` on a cold cache, and the four SoA joint-CDF
+    /// corners combined by `segment::interval` against
+    /// `reference::joint_interval`.
     #[test]
-    fn edge_aggregation_bit_identical_across_tiers(
+    fn edge_aggregation_matches_reference(
         b in 1usize..=6,
         s_free_bits in any::<u64>(),
         offs in any::<u64>(),
@@ -211,24 +199,36 @@ proptest! {
         let d = bounds_raw >> 24 & 0xff;
         let (vl, vh) = ((c % (full + 1)).min(d % (full + 1)), (c % (full + 1)).max(d % (full + 1)));
 
-        let results = per_tier(|| {
-            let shares = digit_dp::edge_shares(
-                &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
-                &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
-                slice,
-            )
-            .map(f64::to_bits);
-            let interval = digit_dp::joint_interval(&fu, ul, uh, &fv, vl, vh).to_bits();
-            (shares, interval)
-        });
-        assert_tiers_agree("edge aggregation", results)?;
+        let shares = reference::edge_shares(
+            &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
+            &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
+            slice,
+        )
+        .map(f64::to_bits);
+        let cached = incremental::edge_shares(
+            &mut EdgeDpCache::new(),
+            &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
+            &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
+            slice,
+        )
+        .map(f64::to_bits);
+        prop_assert_eq!(cached, shares, "edge shares");
+
+        let (su, sv) = (PackedForms::from_forms(&fu), PackedForms::from_forms(&fv));
+        let j = |a: u64, b: u64| scalar::prob_joint_lt(&su, a, &sv, b);
+        let interval = segment::interval([j(uh, vh), j(ul, vh), j(uh, vl), j(ul, vl)]);
+        prop_assert_eq!(
+            interval.to_bits(),
+            reference::joint_interval(&fu, ul, uh, &fv, vl, vh).to_bits(),
+            "interval"
+        );
     }
 
-    /// `argmin_f64` is bit-identical across tiers on adversarial score
-    /// vectors: ties, NaN, infinities, signed zeros, arbitrary lengths
-    /// (covering lane remainders and the `len < 8` SIMD bail-out).
+    /// The four-lane argmin fold is bit-identical to the scan on
+    /// adversarial score vectors: ties, NaN, infinities, signed zeros,
+    /// arbitrary lengths (covering lane remainders and short inputs).
     #[test]
-    fn argmin_bit_identical_across_tiers(
+    fn argmin_fold_matches_scan(
         raw in collection::vec((0u8..8, 0.0f64..1.0), 0..48),
     ) {
         let scores: Vec<f64> = raw
@@ -243,57 +243,31 @@ proptest! {
             })
             .collect();
 
-        // The per-tier implementations are public: compare them directly,
-        // then confirm the dispatcher routes to the same answer per tier.
         let anchor = argmin::reference(&scores);
         let anchor_bits = (anchor.0.to_bits(), anchor.1);
-        let scalar = argmin::scalar(&scores);
-        let simd = argmin::simd(&scores);
-        prop_assert_eq!((scalar.0.to_bits(), scalar.1), anchor_bits, "scalar");
-        prop_assert_eq!((simd.0.to_bits(), simd.1), anchor_bits, "simd");
-        let dispatched = per_tier(|| {
-            let (m, i) = argmin::argmin_f64(&scores);
-            (m.to_bits(), i)
-        });
-        assert_tiers_agree("argmin dispatch", dispatched)?;
-        prop_assert_eq!(dispatched_anchor(&scores), anchor_bits);
+        let fold = argmin::scalar(&scores);
+        prop_assert_eq!((fold.0.to_bits(), fold.1), anchor_bits, "fold");
+        // The entry point under whichever tier is ambient.
+        let (m, i) = argmin::argmin_f64(&scores);
+        prop_assert_eq!((m.to_bits(), i), anchor_bits, "argmin_f64");
     }
 
-    /// The bit-accounting batches (`bit_len_batch`, `recip_batch`,
-    /// `ratio_batch`) match their single-value anchors bit for bit under
-    /// every tier.
+    /// The ratio batches match their single-value anchors bit for bit.
     #[test]
-    fn batches_bit_identical_across_tiers(
-        vals in collection::vec(any::<u64>(), 0..48),
+    fn batches_match_single_values(
         ks in collection::vec(0usize..10_000, 0..48),
         pairs in collection::vec((0usize..10_000, 1usize..10_000), 0..48),
     ) {
         let (nums, dens): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
-        let results = per_tier(|| {
-            let mut lens = vec![0u32; vals.len()];
-            bits::bit_len_batch(&vals, &mut lens);
-            let mut recips = vec![0.0f64; ks.len()];
-            ratio::recip_batch(&ks, &mut recips);
-            let mut ratios = vec![0.0f64; nums.len()];
-            ratio::ratio_batch(&nums, &dens, &mut ratios);
-            (
-                lens,
-                recips.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-                ratios.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
-            )
-        });
-        assert_tiers_agree("batches", results.clone())?;
-
-        // Anchor against the single-value functions.
-        let (lens, recips, ratios) = &results[0];
-        for (i, &v) in vals.iter().enumerate() {
-            prop_assert_eq!(lens[i], bits::bit_len(v));
-        }
+        let mut recips = vec![0.0f64; ks.len()];
+        ratio::recip_batch(&ks, &mut recips);
+        let mut ratios = vec![0.0f64; nums.len()];
+        ratio::ratio_batch(&nums, &dens, &mut ratios);
         for (i, &k) in ks.iter().enumerate() {
-            prop_assert_eq!(recips[i], ratio::recip_or_zero(k).to_bits());
+            prop_assert_eq!(recips[i].to_bits(), ratio::recip_or_zero(k).to_bits());
         }
         for (i, (&n, &d)) in nums.iter().zip(&dens).enumerate() {
-            prop_assert_eq!(ratios[i], ratio::ratio(n, d).to_bits());
+            prop_assert_eq!(ratios[i].to_bits(), ratio::ratio(n, d).to_bits());
         }
     }
 
@@ -302,7 +276,7 @@ proptest! {
     /// each slice's window several seed bits are fixed in turn (mutating
     /// only that slice's form — the contract `EdgeDpCache` relies on).
     /// After **every** fix, the warm persistent cache must agree bitwise
-    /// with a cold cache and with the stateless dispatched evaluator.
+    /// with a cold cache and with the reference body.
     #[test]
     fn incremental_cache_matches_fresh_across_monotone_schedule(
         b in 1usize..=6,
@@ -350,8 +324,7 @@ proptest! {
                     &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
                     slice,
                 ).map(f64::to_bits);
-                // Bit-identical under any tier, so no tier lock is needed.
-                let stateless = digit_dp::edge_shares(
+                let stateless = reference::edge_shares(
                     &fu, [u0, u1], tu, inv(k0_u), inv(k1_u),
                     &fv, [v0, v1], tv, inv(k0_v), inv(k1_v),
                     slice,
@@ -361,7 +334,8 @@ proptest! {
 
                 let marg = incremental::prob_lt_override(&mut warm_marg, &fu, u1, tu, slice)
                     .to_bits();
-                let marg_ref = digit_dp::prob_lt_override(&fu, Some((slice, u1)), tu).to_bits();
+                let marg_ref =
+                    reference::prob_lt_override(&fu, Some((slice, u1)), tu).to_bits();
                 prop_assert_eq!(marg, marg_ref, "marginal at slice {} step {}", slice, step);
 
                 // Commit the fix: the chosen candidate becomes the slice's
@@ -373,12 +347,4 @@ proptest! {
             }
         }
     }
-}
-
-/// One dispatched call under whatever tier is currently active — used to
-/// check the dispatcher agrees with the direct reference call outside the
-/// forced-tier window.
-fn dispatched_anchor(scores: &[f64]) -> (u64, usize) {
-    let (m, i) = argmin::argmin_f64(scores);
-    (m.to_bits(), i)
 }

@@ -25,10 +25,11 @@ fn std_arch_confined_flags_intrinsics_outside_kernels() {
 }
 
 #[test]
-fn std_arch_confined_allows_kernels_and_clean_code() {
+fn std_arch_confined_flags_kernels_too_and_allows_clean_code() {
     let bad = include_str!("fixtures/std_arch_bad.rs");
-    // The same source is fine when it lives inside crates/kernels/.
-    assert!(lint("crates/kernels/src/fixture.rs", bad).is_empty());
+    // The ban is flat: crates/kernels/ has no exemption.
+    let diags = lint("crates/kernels/src/fixture.rs", bad);
+    assert_eq!(rules(&diags), ["std-arch-confined"], "{diags:?}");
     let ok = include_str!("fixtures/std_arch_ok.rs");
     assert!(lint("crates/sim/src/fixture.rs", ok).is_empty());
 }
@@ -36,7 +37,7 @@ fn std_arch_confined_allows_kernels_and_clean_code() {
 #[test]
 fn safety_comment_flags_bare_unsafe() {
     let bad = include_str!("fixtures/safety_comment_bad.rs");
-    let diags = lint("crates/kernels/src/fixture.rs", bad);
+    let diags = lint("crates/par/src/fixture.rs", bad);
     assert_eq!(rules(&diags), ["safety-comment"], "{diags:?}");
     assert_eq!(diags[0].line, 4);
 }
@@ -44,7 +45,7 @@ fn safety_comment_flags_bare_unsafe() {
 #[test]
 fn safety_comment_accepts_preceding_comment() {
     let ok = include_str!("fixtures/safety_comment_ok.rs");
-    assert!(lint("crates/kernels/src/fixture.rs", ok).is_empty());
+    assert!(lint("crates/par/src/fixture.rs", ok).is_empty());
 }
 
 #[test]
@@ -58,16 +59,19 @@ fn forbid_unsafe_requires_root_attribute() {
 }
 
 #[test]
-fn forbid_unsafe_unsafe_crates_need_deny_unsafe_op() {
-    // A plain #![forbid(unsafe_code)] root is wrong for dcl_par/dcl_kernels:
-    // they need #![deny(unsafe_op_in_unsafe_fn)].
+fn forbid_unsafe_only_par_may_deny_unsafe_op_instead() {
+    // A plain #![forbid(unsafe_code)] root is wrong for dcl_par: it needs
+    // #![deny(unsafe_op_in_unsafe_fn)].
     let forbid_root = include_str!("fixtures/forbid_unsafe_ok.rs");
     let diags = lint("crates/par/src/lib.rs", forbid_root);
     assert_eq!(rules(&diags), ["forbid-unsafe"], "{diags:?}");
 
     let deny_root = include_str!("fixtures/forbid_unsafe_unsafe_crate_ok.rs");
     assert!(lint("crates/par/src/lib.rs", deny_root).is_empty());
-    assert!(lint("crates/kernels/src/lib.rs", deny_root).is_empty());
+    // dcl_kernels is no longer unsafe-permitted: the deny root is flagged.
+    let diags = lint("crates/kernels/src/lib.rs", deny_root);
+    assert_eq!(rules(&diags), ["forbid-unsafe"], "{diags:?}");
+    assert!(lint("crates/kernels/src/lib.rs", forbid_root).is_empty());
 }
 
 #[test]

@@ -470,11 +470,10 @@ where
 ///
 /// Returns `(f64::INFINITY, 0)` when `count == 0`.
 ///
-/// The reduction itself is `dcl_kernels::argmin::argmin_f64` — an
-/// arch-dispatched kernel whose every tier is proven equal to the
-/// first-minimum scan (see the contract tests in `tests/argmin_contract.rs`
-/// and in `dcl_kernels`), so the winner is also identical across
-/// `DCL_KERNEL_TIER` settings.
+/// The reduction itself is `dcl_kernels::argmin::argmin_f64` — a
+/// four-lane fold proven equal to the first-minimum scan (see the contract
+/// tests in `tests/argmin_contract.rs` and in `dcl_kernels`), so the
+/// winner is also identical across `DCL_KERNEL_TIER` settings.
 pub fn argmin_f64<F>(pool: Option<&Pool>, count: usize, score: F) -> (f64, usize)
 where
     F: Fn(usize) -> f64 + Sync,

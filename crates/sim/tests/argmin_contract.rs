@@ -8,7 +8,7 @@
 //!    must not depend on backend or kernel tier;
 //! 2. **NaN never wins** — a poisoned score must not hijack the schedule;
 //! 3. the result is **identical across `Backend::{Sequential, Parallel}`**
-//!    and across all four kernel tiers, for arbitrary score vectors.
+//!    and across both kernel tiers, for arbitrary score vectors.
 
 use dcl_kernels::{clear_active_tier, set_active_tier, KernelTier};
 use dcl_par::Pool;
@@ -25,7 +25,7 @@ fn lock_tier() -> MutexGuard<'static, ()> {
 }
 
 /// Runs `f` once per tier and restores the default dispatch afterwards.
-fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 4] {
+fn per_tier<T>(mut f: impl FnMut() -> T) -> [T; 2] {
     let _guard = lock_tier();
     let out = KernelTier::all().map(|tier| {
         set_active_tier(tier);
