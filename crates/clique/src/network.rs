@@ -16,8 +16,8 @@
 use dcl_par::{Backend, Pool};
 use dcl_sim::wire::Wire;
 use dcl_sim::{
-    AllPairsTopology, BandwidthCap, RoundEngine, SendPolicy, Topology, TransportSpec,
-    TransportStats,
+    AllPairsTopology, BandwidthCap, BudgetViolation, RoundEngine, SendPolicy, Topology,
+    TransportSpec, TransportStats,
 };
 
 /// Cost counters of a [`CliqueNetwork`] (the shared
@@ -186,7 +186,8 @@ impl CliqueNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if a send or receive budget is exceeded or an endpoint is out
+    /// Raises [`BudgetViolation::LenzenSend`]/[`BudgetViolation::LenzenReceive`]
+    /// if a send or receive budget is exceeded; panics if an endpoint is out
     /// of range.
     pub fn lenzen_route<M>(&mut self, messages: Vec<(usize, usize, M)>) -> Inboxes<M>
     where
@@ -201,11 +202,12 @@ impl CliqueNetwork {
             assert!(src < n && dst < n, "endpoint out of range");
             sent[src] += 1;
             received[dst] += 1;
-            assert!(sent[src] <= n, "node {src} exceeds the Lenzen send budget");
-            assert!(
-                received[dst] <= n,
-                "node {dst} exceeds the Lenzen receive budget"
-            );
+            if sent[src] > n {
+                BudgetViolation::LenzenSend { node: src }.raise();
+            }
+            if received[dst] > n {
+                BudgetViolation::LenzenReceive { node: dst }.raise();
+            }
             max_fragments =
                 max_fragments.max(self.metrics.account_fragmented(self.cap, msg.wire_bits()));
             inboxes[dst].push((src, msg));
@@ -224,6 +226,7 @@ impl CliqueNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcl_sim::test_util::expect_budget_violation;
 
     #[test]
     fn round_unicast_delivery() {
@@ -261,10 +264,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds clique cap")]
     fn oversized_message_panics() {
         let mut net = CliqueNetwork::new(2, 4);
-        let _ = net.round(|v| if v == 0 { vec![(1, 255u32)] } else { vec![] });
+        let violation = expect_budget_violation(|| {
+            net.round(|v| if v == 0 { vec![(1, 255u32)] } else { vec![] })
+        });
+        assert_eq!(
+            violation,
+            BudgetViolation::Bandwidth {
+                model: "clique",
+                bits: 8,
+                cap: 4
+            }
+        );
     }
 
     #[test]
@@ -350,10 +362,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "send budget")]
     fn lenzen_send_budget_enforced() {
         let mut net = CliqueNetwork::with_default_cap(2);
         let msgs = vec![(0, 1, 1u32), (0, 1, 2u32), (0, 1, 3u32)];
-        let _ = net.lenzen_route(msgs);
+        let violation = expect_budget_violation(|| net.lenzen_route(msgs));
+        assert_eq!(violation, BudgetViolation::LenzenSend { node: 0 });
     }
 }

@@ -276,7 +276,8 @@ impl<'g> Network<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `bits_each` exceeds the bandwidth cap.
+    /// Raises [`dcl_sim::BudgetViolation::Bandwidth`] if `bits_each` exceeds
+    /// the bandwidth cap.
     pub fn charge_traffic(&mut self, messages: u64, bits_each: u32) {
         for _ in 0..messages {
             self.metrics.account(self.cap, bits_each, "CONGEST");
@@ -345,17 +346,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds CONGEST cap")]
     fn oversized_message_panics() {
         let g = generators::path(2);
         let mut net = Network::new(&g, 8);
-        let _ = net.round(|v| {
-            if v == 0 {
-                vec![(1, 1u64 << 40)]
-            } else {
-                vec![]
-            }
+        let violation = dcl_sim::test_util::expect_budget_violation(|| {
+            net.round(|v| {
+                if v == 0 {
+                    vec![(1, 1u64 << 40)]
+                } else {
+                    vec![]
+                }
+            })
         });
+        assert_eq!(
+            violation,
+            dcl_sim::BudgetViolation::Bandwidth {
+                model: "CONGEST",
+                bits: 41,
+                cap: 8
+            }
+        );
     }
 
     #[test]
@@ -404,6 +414,31 @@ mod tests {
             assert_eq!(inboxes[leaf], vec![(0, 7u32)]);
         }
         assert_eq!(net.metrics().messages, 4);
+    }
+
+    #[test]
+    fn oversized_broadcast_raises_or_fragments_by_policy() {
+        let g = generators::star(5);
+        let payload = |v: usize| (v == 0).then_some(1u64 << 40);
+        let mut strict = Network::new(&g, 8);
+        let violation =
+            dcl_sim::test_util::expect_budget_violation(|| strict.broadcast_round(payload));
+        assert_eq!(
+            violation,
+            dcl_sim::BudgetViolation::Bandwidth {
+                model: "CONGEST",
+                bits: 41,
+                cap: 8
+            }
+        );
+        // The same 41-bit payload fragments into 6 cap-sized messages per
+        // leaf and stretches the round to 6 sub-rounds.
+        let mut frag = Network::new(&g, 8);
+        let inboxes = frag.fragmented_broadcast_round(payload);
+        assert_eq!(inboxes[3], vec![(0, 1u64 << 40)]);
+        let m = frag.metrics();
+        assert_eq!((m.rounds, m.messages, m.bits), (6, 4 * 6, 4 * 41));
+        assert_eq!(m.max_message_bits, 8);
     }
 
     #[test]

@@ -129,32 +129,6 @@ impl Default for EdgeDpCache {
     }
 }
 
-/// Prefix cache for the marginal DP alone ([`prob_lt_override`]).
-#[derive(Debug, Clone)]
-pub struct MarginalDpCache {
-    slice: usize,
-    t: u64,
-    state: [f64; 2],
-}
-
-impl MarginalDpCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        MarginalDpCache {
-            slice: usize::MAX,
-            t: 0,
-            state: [0.0; 2],
-        }
-    }
-}
-
-impl Default for MarginalDpCache {
-    fn default() -> Self {
-        MarginalDpCache::new()
-    }
-}
-
 #[cfg(debug_assertions)]
 fn suffix_fingerprint(forms_u: &[BitForm], forms_v: &[BitForm], slice: usize) -> u64 {
     let mut fp = 0xcbf2_9ce4_8422_2325u64;
@@ -305,28 +279,6 @@ fn joint_finish(
         joint_step(&mut st, forms_u[i], forms_v[i], t_u >> i & 1, t_v >> i & 1);
     }
     st[3]
-}
-
-/// Cached `Pr[z < t]` with position `slice` overridden by `over`. The
-/// cache revalidates on slice or threshold change.
-#[must_use]
-pub fn prob_lt_override(
-    cache: &mut MarginalDpCache,
-    forms: &[BitForm],
-    over: BitForm,
-    t: u64,
-    slice: usize,
-) -> f64 {
-    let b = forms.len();
-    if t >= 1 << b {
-        return 1.0;
-    }
-    if cache.slice != slice || cache.t != t {
-        cache.state = marg_prefix(forms, t, slice, b);
-        cache.slice = slice;
-        cache.t = t;
-    }
-    marg_finish(cache.state, forms, over, t, slice)
 }
 
 /// Cached joint coin probabilities `[p00, p01, p10, p11]` with both
@@ -506,21 +458,6 @@ mod tests {
                     want.map(f64::to_bits),
                     "slice {slice}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn cached_marginal_matches_reference() {
-        let (fx, _) = sample();
-        for slice in 0..fx.len() {
-            let mut cache = MarginalDpCache::new();
-            for t in [0u64, 3, 7, 11, 16] {
-                for over in [form(false, 0, false), form(true, 0b0010, false)] {
-                    let got = prob_lt_override(&mut cache, &fx, over, t, slice);
-                    let want = reference::prob_lt_override(&fx, Some((slice, over)), t);
-                    assert_eq!(got.to_bits(), want.to_bits(), "slice {slice} t {t}");
-                }
             }
         }
     }

@@ -2,9 +2,8 @@
 //!
 //! Every bit-identity claim this reproduction makes rests on source-level
 //! discipline that the compiler does not enforce: no architecture
-//! intrinsics anywhere, metered code never iterates a hash table, simulator
-//! panics keep the wording the Budget-vs-Panic classifier in `dcl_runner`
-//! keys on, and so forth. This crate checks those contracts mechanically,
+//! intrinsics anywhere, metered code never iterates a hash table or reads a
+//! wall clock, and so forth. This crate checks those contracts mechanically,
 //! in the style of rust-lang's `tidy`: **line/token-level** analysis over
 //! the raw sources — no `syn`, no dependencies, std only.
 //!
@@ -18,7 +17,6 @@
 //! | `no-hash-iter` | no `HashMap`/`HashSet` in deterministic (simulator/driver) crates |
 //! | `no-wall-clock` | no `Instant`/`SystemTime` outside `dcl_bench`, the audited `dcl_sim::deadline` module, and the vendored criterion shim (which is not walked) |
 //! | `no-print` | no `println!`/`eprintln!`/`print!`/`eprint!`/`dbg!` in library code |
-//! | `panic-wording` | panic messages containing the stem "exceed" classify unambiguously as Budget or safety-net under `run_protected`'s rules |
 //!
 //! ## Waivers
 //!
@@ -56,7 +54,7 @@ pub struct RuleInfo {
     pub summary: &'static str,
 }
 
-/// The seven enforced rule families (plus the waiver well-formedness check,
+/// The six enforced rule families (plus the waiver well-formedness check,
 /// which is not waivable and therefore not listed).
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
@@ -85,17 +83,12 @@ pub const RULES: &[RuleInfo] = &[
         name: "no-print",
         summary: "no println!/eprintln!/print!/eprint!/dbg! in library code",
     },
-    RuleInfo {
-        name: "panic-wording",
-        summary: "panic messages with the stem \"exceed\" must classify unambiguously \
-                  under run_protected's Budget-vs-Panic rules",
-    },
 ];
 
 /// Name of the meta-rule reported for malformed waivers (not waivable).
 pub const WAIVER_SYNTAX: &str = "waiver-syntax";
 
-/// Returns true if `name` is one of the seven waivable rule families.
+/// Returns true if `name` is one of the six waivable rule families.
 #[must_use]
 pub fn is_known_rule(name: &str) -> bool {
     RULES.iter().any(|r| r.name == name)
@@ -129,8 +122,7 @@ impl fmt::Display for Diagnostic {
 const UNSAFE_CRATES: &[&str] = &["par"];
 
 /// Crates whose sources are metered / drive the deterministic pipeline:
-/// hash-table types and ambiguous panic wordings are banned here. `"."` is
-/// the root facade crate.
+/// hash-table types are banned here. `"."` is the root facade crate.
 const DETERMINISM_CRATES: &[&str] = &[
     ".", "graphs", "congest", "clique", "mpc", "sim", "core", "decomp", "delta", "derand",
     "runner", "service",
@@ -158,9 +150,6 @@ struct Line {
     code: String,
     /// Concatenated comment text appearing on this line.
     comment: String,
-    /// Contents of string literals *starting* on this line (a multi-line
-    /// literal is attributed, whole, to its starting line).
-    literals: Vec<String>,
     /// Inside a `#[cfg(test)] mod … { … }` block.
     in_test: bool,
 }
@@ -190,8 +179,6 @@ impl SourceModel {
         let mut lines: Vec<Line> = Vec::new();
         let mut cur = Line::default();
         let mut state = ScanState::Code;
-        let mut literal = String::new();
-        let mut literal_start: usize = 0; // index into `lines` once pushed
         let mut i = 0usize;
 
         // Closes the current line at a '\n'.
@@ -221,8 +208,6 @@ impl SourceModel {
                     '"' => {
                         cur.code.push('"');
                         state = ScanState::Str;
-                        literal.clear();
-                        literal_start = lines.len();
                         i += 1;
                     }
                     'r' | 'b' => {
@@ -243,20 +228,13 @@ impl SourceModel {
                         let raw = j > i && chars[i..j].contains(&'r');
                         if !prev_ident && chars.get(k) == Some(&'"') && (raw || hashes == 0) {
                             if raw {
-                                for &p in &chars[i..=k] {
-                                    cur.code.push(p);
-                                }
+                                cur.code.extend(&chars[i..=k]);
                                 state = ScanState::RawStr(hashes);
-                                literal.clear();
-                                literal_start = lines.len();
                                 i = k + 1;
                             } else if j == i + 1 && chars.get(j) == Some(&'"') {
                                 // b"..." — ordinary escapes apply.
-                                cur.code.push('b');
-                                cur.code.push('"');
+                                cur.code.push_str("b\"");
                                 state = ScanState::Str;
-                                literal.clear();
-                                literal_start = lines.len();
                                 i = j + 1;
                             } else {
                                 cur.code.push(c);
@@ -319,41 +297,26 @@ impl SourceModel {
                     }
                 }
                 ScanState::Str => {
-                    if c == '\\' {
-                        literal.push(c);
-                        if let Some(n) = next {
-                            literal.push(n);
-                        }
-                        i += 2;
-                    } else if c == '"' {
+                    if c == '"' {
                         cur.code.push('"');
-                        finish_literal(&mut lines, &mut cur, literal_start, &mut literal);
                         state = ScanState::Code;
-                        i += 1;
-                    } else {
-                        if c == '\n' {
-                            newline!();
-                        }
-                        literal.push(c);
-                        i += 1;
+                    } else if c == '\n' {
+                        newline!();
                     }
+                    // Skip an escaped character, but not an escaped newline:
+                    // it still ends its source line.
+                    i += 1 + usize::from(c == '\\' && next != Some('\n'));
                 }
                 ScanState::RawStr(hashes) => {
-                    let closes = c == '"'
-                        && (0..hashes as usize).all(|h| chars.get(i + 1 + h) == Some(&'#'));
-                    if closes {
-                        cur.code.push('"');
-                        for _ in 0..hashes {
-                            cur.code.push('#');
-                        }
-                        finish_literal(&mut lines, &mut cur, literal_start, &mut literal);
+                    let h = usize::from(hashes);
+                    if c == '"' && (1..=h).all(|d| chars.get(i + d) == Some(&'#')) {
+                        cur.code.extend(&chars[i..=i + h]);
                         state = ScanState::Code;
-                        i += 1 + hashes as usize;
+                        i += 1 + h;
                     } else {
                         if c == '\n' {
                             newline!();
                         }
-                        literal.push(c);
                         i += 1;
                     }
                 }
@@ -442,15 +405,6 @@ impl SourceModel {
             }
             i += 1;
         }
-    }
-}
-
-fn finish_literal(lines: &mut [Line], cur: &mut Line, start: usize, literal: &mut String) {
-    let text = std::mem::take(literal);
-    if start == lines.len() {
-        cur.literals.push(text);
-    } else if let Some(line) = lines.get_mut(start) {
-        line.literals.push(text);
     }
 }
 
@@ -598,56 +552,6 @@ fn file_ctx(path: &str) -> FileCtx {
 }
 
 // ---------------------------------------------------------------------------
-// panic-wording classification (mirrors dcl_runner::run_protected).
-// ---------------------------------------------------------------------------
-
-/// Removes `{…}` format-argument spans so that argument *names* (`{budget}`,
-/// `{cap}`) cannot influence classification — at runtime they are replaced
-/// by values.
-fn strip_format_args(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut depth = 0usize;
-    for c in s.chars() {
-        match c {
-            '{' => depth += 1,
-            '}' => depth = depth.saturating_sub(1),
-            _ if depth == 0 => out.push(c),
-            _ => {}
-        }
-    }
-    out
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PanicClass {
-    /// Classified as `RunError::Budget` by `run_protected`.
-    Budget,
-    /// Past-tense safety-net wording, classified as `RunError::Panic`.
-    SafetyNet,
-    /// Contains the stem "exceed" but matches neither canonical form.
-    Ambiguous,
-}
-
-/// Classifies a panic-message literal. Returns `None` when the literal does
-/// not contain the stem "exceed" (then the rule does not apply).
-fn classify_panic_literal(lit: &str) -> Option<PanicClass> {
-    let text = strip_format_args(lit).to_lowercase();
-    if !text.contains("exceed") {
-        return None;
-    }
-    let budget = text.contains("budget")
-        || text.contains("exceeding its memory")
-        || (text.contains("exceeds") && text.contains("cap"));
-    if budget {
-        return Some(PanicClass::Budget);
-    }
-    if text.contains("exceeded") && !text.contains("exceeds") {
-        return Some(PanicClass::SafetyNet);
-    }
-    Some(PanicClass::Ambiguous)
-}
-
-// ---------------------------------------------------------------------------
 // The lint pass.
 // ---------------------------------------------------------------------------
 
@@ -792,25 +696,6 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
                 }
             }
         }
-
-        // panic-wording — deterministic crates, non-test code only.
-        if determinism_crate && !exempt_test && !waived("panic-wording") {
-            for lit in &line.literals {
-                if classify_panic_literal(lit) == Some(PanicClass::Ambiguous) {
-                    raw.push(diag(
-                        i,
-                        "panic-wording",
-                        format!(
-                            "message {lit:?} contains the stem \"exceed\" but matches \
-                             neither canonical wording: budget assertions must say \
-                             \"budget\" / \"exceeding its memory\" / \"exceeds … cap\"; \
-                             safety nets must use past-tense \"exceeded\" (see \
-                             dcl_runner::run_protected)"
-                        ),
-                    ));
-                }
-            }
-        }
     }
 
     raw
@@ -825,6 +710,22 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
 ///
 /// Propagates I/O errors from directory walking or file reads.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
+    let files = workspace_files(root)?;
+    let mut diagnostics = Vec::new();
+    for (rel, source) in &files {
+        diagnostics.extend(lint_source(rel, source));
+    }
+    diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    Ok((files.len(), diagnostics))
+}
+
+/// The files [`lint_workspace`] walks, as `(workspace-relative path with
+/// `/` separators, contents)` pairs sorted by path.
+///
+/// # Errors
+///
+/// Propagates I/O errors from directory walking or file reads.
+pub fn workspace_files(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files: Vec<std::path::PathBuf> = Vec::new();
     for top in ["src", "crates", "tests", "examples"] {
         let dir = root.join(top);
@@ -833,20 +734,19 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> 
         }
     }
     files.sort();
-    let mut diagnostics = Vec::new();
-    for file in &files {
-        let source = std::fs::read_to_string(file)?;
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        diagnostics.extend(lint_source(&rel, &source));
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok((files.len(), diagnostics))
+    files
+        .iter()
+        .map(|file| {
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(file)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            Ok((rel, std::fs::read_to_string(file)?))
+        })
+        .collect()
 }
 
 const SKIP_DIRS: &[&str] = &["target", "vendor", "fixtures", ".git", "node_modules"];
@@ -878,8 +778,8 @@ mod tests {
             "let x = \"HashMap in a string\"; // HashMap in a comment\nuse std::collections::HashMap;\n",
         );
         assert!(!has_token(&m.lines[0].code, "HashMap"));
+        assert_eq!(m.lines[0].code, "let x = \"\"; ");
         assert!(m.lines[0].comment.contains("HashMap in a comment"));
-        assert_eq!(m.lines[0].literals, vec!["HashMap in a string".to_string()]);
         assert!(has_token(&m.lines[1].code, "HashMap"));
     }
 
@@ -888,16 +788,24 @@ mod tests {
         let m = SourceModel::parse(
             "let s = r#\"Instant \"quoted\" inside\"#;\nlet c = '\"'; let l: &'static str = \"x\";\n",
         );
-        assert!(!m.lines[0].code.contains("Instant"));
-        assert_eq!(m.lines[0].literals.len(), 1);
+        assert_eq!(m.lines[0].code, "let s = r#\"\"#;");
         // The '"' char literal must not open a string.
-        assert_eq!(m.lines[1].literals, vec!["x".to_string()]);
+        assert_eq!(m.lines[1].code, "let c = ''; let l: &'static str = \"\";");
     }
 
     #[test]
-    fn multi_line_literal_attributes_to_start_line() {
-        let m = SourceModel::parse("panic!(\n    \"line one\n     line two\"\n);\n");
-        assert!(m.lines[1].literals[0].contains("line two"));
+    fn multi_line_literals_keep_line_numbers_stable() {
+        let m = SourceModel::parse(
+            "panic!(\n    \"line one\n     HashMap two\"\n);\nlet s = \"a \\\n    Instant b\";\nuse std::collections::HashMap;\n",
+        );
+        assert_eq!(m.lines.len(), 8);
+        assert_eq!(m.lines[1].code, "    \"");
+        assert_eq!(m.lines[2].code, "\"");
+        assert_eq!(m.lines[3].code, ");");
+        // An escaped newline inside a string still ends its source line.
+        assert_eq!(m.lines[4].code, "let s = \"");
+        assert_eq!(m.lines[5].code, "\";");
+        assert!(has_token(&m.lines[6].code, "HashMap"));
     }
 
     #[test]
@@ -917,32 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn format_args_do_not_leak_into_classification() {
-        // `{budget}` must not make this read as budget wording.
-        assert_eq!(
-            classify_panic_literal("value {budget} exceed limit"),
-            Some(PanicClass::Ambiguous)
-        );
-        assert_eq!(
-            classify_panic_literal("machine 3 exceeded its send budget of 10 words"),
-            Some(PanicClass::Budget)
-        );
-        assert_eq!(
-            classify_panic_literal("message of 9 bits exceeds CONGEST cap of 8 bits"),
-            Some(PanicClass::Budget)
-        );
-        assert_eq!(
-            classify_panic_literal("machine 1 stores 99 words, exceeding its memory of 80"),
-            Some(PanicClass::Budget)
-        );
-        assert_eq!(
-            classify_panic_literal("iteration cap exceeded — progress bug"),
-            Some(PanicClass::SafetyNet)
-        );
-        assert_eq!(classify_panic_literal("no stem here"), None);
-    }
-
-    #[test]
     fn waiver_requires_reason_and_known_rule() {
         let src = "// dcl-lint: allow(no-print)\nprintln!(\"x\");\n";
         let d = lint_source("crates/sim/src/x.rs", src);
@@ -953,6 +835,8 @@ mod tests {
         let src = "// dcl-lint: allow(no-such-rule) — because\n";
         let d = lint_source("crates/sim/src/x.rs", src);
         assert!(d.iter().any(|d| d.rule == WAIVER_SYNTAX));
+
+        assert_eq!(RULES.len(), 6, "six waivable rule families");
     }
 
     #[test]

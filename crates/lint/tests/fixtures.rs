@@ -181,23 +181,6 @@ fn no_print_exempts_bins_examples_and_tests() {
 }
 
 #[test]
-fn panic_wording_flags_ambiguous_exceed_messages() {
-    let bad = include_str!("fixtures/panic_wording_bad.rs");
-    let diags = lint("crates/clique/src/fixture.rs", bad);
-    assert_eq!(rules(&diags), ["panic-wording"], "{diags:?}");
-    assert_eq!(diags[0].line, 6);
-}
-
-#[test]
-fn panic_wording_accepts_both_canonical_forms() {
-    let ok = include_str!("fixtures/panic_wording_ok.rs");
-    assert!(lint("crates/clique/src/fixture.rs", ok).is_empty());
-    // Outside the deterministic crates the wording is unconstrained.
-    let bad = include_str!("fixtures/panic_wording_bad.rs");
-    assert!(lint("crates/kernels/src/fixture.rs", bad).is_empty());
-}
-
-#[test]
 fn waivers_suppress_findings_with_reason() {
     let ok = include_str!("fixtures/waiver_ok.rs");
     let diags = lint("crates/sim/src/fixture.rs", ok);
@@ -248,5 +231,26 @@ fn the_real_workspace_is_lint_clean() {
             .map(std::string::ToString::to_string)
             .collect::<Vec<_>>()
             .join("\n")
+    );
+    // Pin the exact waiver set outside the linter itself (whose sources and
+    // tests quote the syntax): a new waiver has to be a visible edit here.
+    let mut waivers: Vec<(String, String)> = Vec::new();
+    for (path, source) in dcl_lint::workspace_files(root).expect("workspace walk succeeds") {
+        if path.starts_with("crates/lint/") {
+            continue;
+        }
+        for line in source.lines() {
+            if let Some(pos) = line.find("dcl-lint:") {
+                let directive = line[pos..].split(')').next().unwrap_or_default();
+                waivers.push((path.clone(), format!("{directive})")));
+            }
+        }
+    }
+    let generators = "crates/graphs/src/generators.rs".to_string();
+    let dedup = "dcl-lint: allow(no-hash-iter)".to_string();
+    assert_eq!(
+        waivers,
+        [(generators.clone(), dedup.clone()), (generators, dedup)],
+        "the committed waiver set changed"
     );
 }

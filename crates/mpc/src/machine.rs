@@ -15,8 +15,8 @@
 
 use dcl_par::{Backend, Pool};
 use dcl_sim::{
-    ExecConfig, MachineTopology, RoundEngine, SendPolicy, SimMetrics, Topology, TransportSpec,
-    TransportStats, Wire,
+    BudgetViolation, ExecConfig, MachineTopology, RoundEngine, SendPolicy, SimMetrics, Topology,
+    TransportSpec, TransportStats, Wire,
 };
 
 /// Word size of message payloads.
@@ -226,7 +226,8 @@ impl Mpc {
     ///
     /// # Panics
     ///
-    /// Panics if a machine sends or receives more than `O(S)` words or
+    /// Raises [`BudgetViolation::MpcSend`]/[`BudgetViolation::MpcReceive`]
+    /// if a machine sends or receives more than `O(S)` words; panics if it
     /// addresses an unknown machine.
     /// Under [`Backend::Parallel`] the `sender` closures (and the per-message
     /// [`WordSized::words`] sizing) are evaluated on the worker pool; the
@@ -265,14 +266,16 @@ impl Mpc {
                 let _ = self.topo.route(i, dst);
                 sent += w;
                 received[dst] += w;
-                assert!(
-                    sent <= budget,
-                    "machine {i} exceeded its send budget of {budget} words"
-                );
-                assert!(
-                    received[dst] <= budget,
-                    "machine {dst} exceeded its receive budget of {budget} words"
-                );
+                if sent > budget {
+                    BudgetViolation::MpcSend { machine: i, budget }.raise();
+                }
+                if received[dst] > budget {
+                    BudgetViolation::MpcReceive {
+                        machine: dst,
+                        budget,
+                    }
+                    .raise();
+                }
                 self.metrics.messages += 1;
                 self.metrics.bits += w as u64;
                 row.push((dst, msg));
@@ -285,14 +288,18 @@ impl Mpc {
             .ship(machines, "MPC", None, SendPolicy::Strict, validated)
     }
 
-    /// Declares machine `i`'s resident storage; panics if it exceeds the
-    /// memory bound `O(S)`.
+    /// Declares machine `i`'s resident storage; raises
+    /// [`BudgetViolation::MpcMemory`] if it exceeds the memory bound `O(S)`.
     pub fn assert_storage(&mut self, machine: usize, words: usize) {
         let budget = self.slack * self.memory_words;
-        assert!(
-            words <= budget,
-            "machine {machine} stores {words} words, exceeding its memory of {budget}"
-        );
+        if words > budget {
+            BudgetViolation::MpcMemory {
+                machine,
+                words,
+                budget,
+            }
+            .raise();
+        }
         self.max_storage_words = self.max_storage_words.max(words);
     }
 
@@ -313,6 +320,7 @@ impl Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcl_sim::test_util::expect_budget_violation;
 
     #[test]
     fn round_delivers() {
@@ -345,47 +353,78 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "receive budget")]
     fn parallel_receive_budget_enforced() {
         let mut mpc = Mpc::with_backend(100, 2, dcl_par::Backend::Parallel(3));
         // Many senders within their own budgets flood machine 99
         // (budget = slack 4 × S 2 = 8 words; the ninth word trips it).
-        let _ = mpc.round(|i| if i < 9 { vec![(99usize, 1u64)] } else { vec![] });
+        let violation = expect_budget_violation(|| {
+            mpc.round(|i| if i < 9 { vec![(99usize, 1u64)] } else { vec![] })
+        });
+        assert_eq!(
+            violation,
+            BudgetViolation::MpcReceive {
+                machine: 99,
+                budget: 8
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "send budget")]
     fn send_budget_enforced() {
         let mut mpc = Mpc::new(2, 2);
         // Budget = 8 words; send 9 single-word messages.
-        let _ = mpc.round(|i| {
-            if i == 0 {
-                (0..9).map(|_| (1usize, 1u64)).collect()
-            } else {
-                vec![]
-            }
+        let violation = expect_budget_violation(|| {
+            mpc.round(|i| {
+                if i == 0 {
+                    (0..9).map(|_| (1usize, 1u64)).collect()
+                } else {
+                    vec![]
+                }
+            })
         });
+        assert_eq!(
+            violation,
+            BudgetViolation::MpcSend {
+                machine: 0,
+                budget: 8
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "receive budget")]
     fn receive_budget_enforced() {
         let mut mpc = Mpc::new(3, 2);
         // Two senders each within budget, but the receiver is flooded.
-        let _ = mpc.round(|i| {
-            if i < 2 {
-                (0..5).map(|_| (2usize, 1u64)).collect()
-            } else {
-                vec![]
-            }
+        let violation = expect_budget_violation(|| {
+            mpc.round(|i| {
+                if i < 2 {
+                    (0..5).map(|_| (2usize, 1u64)).collect()
+                } else {
+                    vec![]
+                }
+            })
         });
+        assert_eq!(
+            violation,
+            BudgetViolation::MpcReceive {
+                machine: 2,
+                budget: 8
+            }
+        );
     }
 
     #[test]
-    #[should_panic(expected = "exceeding its memory")]
     fn storage_bound_enforced() {
         let mut mpc = Mpc::new(2, 10);
-        mpc.assert_storage(0, 41);
+        let violation = expect_budget_violation(|| mpc.assert_storage(0, 41));
+        assert_eq!(
+            violation,
+            BudgetViolation::MpcMemory {
+                machine: 0,
+                words: 41,
+                budget: 40
+            }
+        );
     }
 
     #[test]
@@ -420,17 +459,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "send budget")]
     fn send_budget_fires_before_the_transport_ships() {
         let exec = ExecConfig::default().with_transport(TransportSpec::Channel);
         let mut mpc = Mpc::from_exec(2, 2, &exec);
-        let _ = mpc.round(|i| {
-            if i == 0 {
-                (0..9).map(|_| (1usize, 1u64)).collect()
-            } else {
-                vec![]
-            }
+        let violation = expect_budget_violation(|| {
+            mpc.round(|i| {
+                if i == 0 {
+                    (0..9).map(|_| (1usize, 1u64)).collect()
+                } else {
+                    vec![]
+                }
+            })
         });
+        assert_eq!(
+            violation,
+            BudgetViolation::MpcSend {
+                machine: 0,
+                budget: 8
+            }
+        );
+        // The transport is built lazily by the first ship: it never was.
+        assert!(mpc.transport_stats().is_none());
     }
 
     #[test]

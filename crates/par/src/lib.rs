@@ -80,6 +80,18 @@ impl Backend {
     }
 }
 
+/// The text of a panic payload when it is a string message (`panic!("…")`
+/// produces `String`, string-literal panics produce `&'static str`); `None`
+/// for custom [`std::panic::panic_any`] payloads. The one payload-to-text
+/// helper behind [`JobPanic::message`] and the workspace's panic shields.
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&'static str>().copied())
+}
+
 /// A job panic caught by the pool, carrying the *original* panic payload and
 /// the index of the failing job (the lowest-indexed one when several jobs of
 /// a batch panicked). Returned by [`Pool::try_run`]; [`Pool::run`] resumes it
@@ -99,13 +111,9 @@ impl JobPanic {
     }
 
     /// The payload as a `&str` when the job panicked with a string message
-    /// (`panic!("…")` produces `String`, string-literal panics produce
-    /// `&'static str`); `None` for custom [`std::panic::panic_any`] payloads.
+    /// ([`panic_message`]).
     pub fn message(&self) -> Option<&str> {
-        self.payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| self.payload.downcast_ref::<&'static str>().copied())
+        panic_message(&*self.payload)
     }
 }
 
@@ -579,6 +587,16 @@ mod tests {
         assert_eq!(err.job, 5);
         assert_eq!(err.message(), Some("job 5 rejected"));
         assert!(format!("{err:?}").contains("job 5 rejected"));
+    }
+
+    #[test]
+    fn panic_message_reads_both_string_payloads_only() {
+        let owned = catch_unwind(|| panic!("job {} failed", 3)).unwrap_err();
+        assert_eq!(panic_message(&*owned), Some("job 3 failed"));
+        let literal = catch_unwind(|| panic!("static text")).unwrap_err();
+        assert_eq!(panic_message(&*literal), Some("static text"));
+        let custom = catch_unwind(|| std::panic::panic_any(7u8)).unwrap_err();
+        assert_eq!(panic_message(&*custom), None);
     }
 
     #[test]

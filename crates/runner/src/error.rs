@@ -3,8 +3,8 @@
 
 use crate::scenario::{Model, Scenario};
 use dcl_graphs::{Graph, GraphError};
-use dcl_par::JobPanic;
-use dcl_sim::{ExecConfig, TransportError};
+use dcl_par::{panic_message, JobPanic};
+use dcl_sim::{BudgetViolation, ExecConfig, TransportError};
 use std::error::Error;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,9 +16,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 /// `dcl_delta::DeltaError`) as a boxed [`std::error::Error`] that can be
 /// recovered intact via [`RunError::rejection`] or
 /// [`std::error::Error::source`]. Model-budget violations (MPC word budgets,
-/// bandwidth caps) are intentional panics in the simulators — see the panic
-/// contract in `DESIGN.md` §2.3 — and are only materialized as the
-/// [`RunError::Budget`] variant when a run goes through [`run_protected`].
+/// bandwidth caps, Lenzen routing) are typed [`BudgetViolation`] panic
+/// payloads in the simulators — see the panic contract in `DESIGN.md` §2.3 —
+/// and are only materialized as the [`RunError::Budget`] variant when a run
+/// goes through [`run_protected`].
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum RunError {
@@ -37,13 +38,14 @@ pub enum RunError {
         source: Box<dyn Error + Send + Sync + 'static>,
     },
     /// A model resource budget was violated (MPC send/receive/memory word
-    /// budgets, bandwidth caps). Produced by [`run_protected`] from the
-    /// simulators' intentional budget assertions.
+    /// budgets, bandwidth caps, Lenzen routing). Produced by
+    /// [`run_protected`] from the simulators' typed [`BudgetViolation`]
+    /// panic payloads.
     Budget {
         /// Model whose budget was violated.
         model: Model,
-        /// The simulator's assertion message.
-        message: String,
+        /// The violation the simulator raised.
+        violation: BudgetViolation,
     },
     /// The byte-transport tier failed — a peer disconnected mid-round or a
     /// frame violated the framing protocol. The simulators raise these as
@@ -92,8 +94,8 @@ impl fmt::Display for RunError {
             RunError::Rejected { scenario, source } => {
                 write!(f, "scenario '{scenario}' rejected the input: {source}")
             }
-            RunError::Budget { model, message } => {
-                write!(f, "{model} resource budget violated: {message}")
+            RunError::Budget { model, violation } => {
+                write!(f, "{model} resource budget violated: {violation}")
             }
             RunError::Transport(e) => write!(f, "transport failure: {e}"),
             RunError::Panic { scenario, message } => {
@@ -110,7 +112,8 @@ impl Error for RunError {
             RunError::Job(p) => Some(p),
             RunError::Rejected { source, .. } => Some(source.as_ref()),
             RunError::Transport(e) => Some(e),
-            RunError::Budget { .. } | RunError::Panic { .. } => None,
+            RunError::Budget { violation, .. } => Some(violation),
+            RunError::Panic { .. } => None,
         }
     }
 }
@@ -133,11 +136,11 @@ impl From<TransportError> for RunError {
     }
 }
 
-/// Runs `scenario` with a panic shield: the simulators' intentional budget
-/// assertions come back as [`RunError::Budget`] and any other panic (the
-/// progress-bug safety nets) as [`RunError::Panic`], instead of unwinding
-/// through the caller. Results of non-panicking runs are identical to
-/// calling [`Scenario::run`] directly.
+/// Runs `scenario` with a panic shield: the simulators' typed payloads come
+/// back as [`RunError::Transport`] and [`RunError::Budget`], and any other
+/// panic (the progress-bug safety nets, addressing asserts) as
+/// [`RunError::Panic`], instead of unwinding through the caller. Results of
+/// non-panicking runs are identical to calling [`Scenario::run`] directly.
 pub fn run_protected(
     scenario: &dyn Scenario,
     graph: &Graph,
@@ -146,43 +149,24 @@ pub fn run_protected(
     match catch_unwind(AssertUnwindSafe(|| scenario.run(graph, exec))) {
         Ok(result) => result,
         Err(payload) => {
-            // Transport failures travel as typed panic payloads
-            // (`panic_any(TransportError)` out of the infallible round
-            // APIs); recover them losslessly before any string matching.
+            // The infallible round APIs raise transport failures and model
+            // budget violations as typed payloads (`panic_any`); every other
+            // panic is a string message.
             if let Some(e) = payload.downcast_ref::<TransportError>() {
                 return Err(RunError::Transport(e.clone()));
             }
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| {
-                    payload
-                        .downcast_ref::<&'static str>()
-                        .map(|s| s.to_string())
-                })
-                .unwrap_or_else(|| String::from("<non-string panic payload>"));
-            // The budget assertions phrase themselves around the violated
-            // resource: "… exceeded its send/receive budget …" and
-            // "… exceeding its memory …" (MPC), "message of N bits exceeds
-            // <model> cap of M bits" (bandwidth caps, present-tense
-            // "exceeds"). The drivers' progress-bug safety nets say
-            // "iteration cap N *exceeded*" — past tense, no "budget" — and
-            // must stay `Panic`, not `Budget` (pinned by the tests below).
-            let budget_violation = message.contains("budget")
-                || message.contains("exceeding its memory")
-                // dcl-lint: allow(panic-wording) — this IS the classifier the rule mirrors
-                || (message.contains("exceeds") && message.contains("cap"));
-            if budget_violation {
-                Err(RunError::Budget {
+            if let Some(violation) = payload.downcast_ref::<BudgetViolation>() {
+                return Err(RunError::Budget {
                     model: scenario.model(),
-                    message,
-                })
-            } else {
-                Err(RunError::Panic {
-                    scenario: scenario.name().to_string(),
-                    message,
-                })
+                    violation: *violation,
+                });
             }
+            Err(RunError::Panic {
+                scenario: scenario.name().to_string(),
+                message: panic_message(&*payload)
+                    .unwrap_or("<non-string panic payload>")
+                    .to_string(),
+            })
         }
     }
 }
@@ -218,6 +202,20 @@ mod tests {
         }
     }
 
+    struct Violating(BudgetViolation);
+
+    impl Scenario for Violating {
+        fn name(&self) -> &str {
+            "violating"
+        }
+        fn model(&self) -> Model {
+            Model::Mpc
+        }
+        fn run(&self, _: &Graph, _: &ExecConfig) -> Result<Report, RunError> {
+            self.0.raise();
+        }
+    }
+
     #[test]
     fn rejection_is_downcastable_losslessly() {
         let err = RunError::rejected("demo", DemoRejection("odd cycle"));
@@ -242,40 +240,90 @@ mod tests {
     fn run_protected_types_budget_violations_and_panics() {
         let g = generators::ring(4);
         let exec = ExecConfig::default();
-        // The exact phrasings of the simulators' budget assertions.
-        for budget_message in [
-            "machine 0 exceeded its send budget of 400 words",
-            "machine 2 exceeded its receive budget of 400 words",
-            "machine 1 stores 99 words, exceeding its memory of 80",
-            "message of 200 bits exceeds CONGEST cap of 128 bits",
+        // Every variant comes back as `Budget`, renders the simulators'
+        // assertion text and keeps the violation on the source chain.
+        for (violation, text) in [
+            (
+                BudgetViolation::MpcSend {
+                    machine: 0,
+                    budget: 400,
+                },
+                "machine 0 exceeded its send budget of 400 words",
+            ),
+            (
+                BudgetViolation::MpcReceive {
+                    machine: 2,
+                    budget: 400,
+                },
+                "machine 2 exceeded its receive budget of 400 words",
+            ),
+            (
+                BudgetViolation::MpcMemory {
+                    machine: 1,
+                    words: 99,
+                    budget: 80,
+                },
+                "machine 1 stores 99 words, exceeding its memory of 80",
+            ),
+            (
+                BudgetViolation::Bandwidth {
+                    model: "CONGEST",
+                    bits: 200,
+                    cap: 128,
+                },
+                "message of 200 bits exceeds CONGEST cap of 128 bits",
+            ),
+            (
+                BudgetViolation::LenzenSend { node: 4 },
+                "node 4 exceeds the Lenzen send budget",
+            ),
+            (
+                BudgetViolation::LenzenReceive { node: 5 },
+                "node 5 exceeds the Lenzen receive budget",
+            ),
         ] {
-            let budget = run_protected(&Panicking(budget_message), &g, &exec);
-            assert!(
-                matches!(
-                    budget,
-                    Err(RunError::Budget {
-                        model: Model::Mpc,
-                        ..
-                    })
-                ),
-                "{budget_message:?} must become Budget, got {budget:?}"
+            let err = run_protected(&Violating(violation), &g, &exec).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("MPC resource budget violated: {text}")
             );
+            let source = err
+                .source()
+                .and_then(|s| s.downcast_ref::<BudgetViolation>());
+            assert_eq!(source, Some(&violation));
+            match err {
+                RunError::Budget {
+                    model,
+                    violation: v,
+                } => {
+                    assert_eq!(model, Model::Mpc);
+                    assert_eq!(v, violation);
+                }
+                other => panic!("{text:?}: expected Budget, got {other:?}"),
+            }
         }
-        // The exact phrasings of the drivers' progress-bug safety nets must
-        // NOT be classified as budget violations.
-        for progress_message in [
+        // String panics are `Panic`, whatever they say: the drivers'
+        // progress-bug safety nets and the budget texts phrased as strings.
+        for message in [
             "iteration cap 40 exceeded with 3 nodes uncolored — progress bug",
             "iteration cap exceeded — progress bug",
             "class 3 exceeded the iteration cap",
             "linear MPC coloring failed to make progress",
+            "machine 0 exceeded its send budget of 400 words",
+            "machine 1 stores 99 words, exceeding its memory of 80",
+            "message of 200 bits exceeds CONGEST cap of 128 bits",
+            "node 4 exceeds the Lenzen send budget",
         ] {
-            let other = run_protected(&Panicking(progress_message), &g, &exec);
+            let other = run_protected(&Panicking(message), &g, &exec);
             match other {
-                Err(RunError::Panic { scenario, message }) => {
+                Err(RunError::Panic {
+                    scenario,
+                    message: m,
+                }) => {
                     assert_eq!(scenario, "panicking");
-                    assert_eq!(message, progress_message);
+                    assert_eq!(m, message);
                 }
-                other => panic!("{progress_message:?}: expected Panic, got {other:?}"),
+                other => panic!("{message:?}: expected Panic, got {other:?}"),
             }
         }
     }

@@ -19,7 +19,9 @@
 //!   wraps the per-crate error types losslessly ([`dcl_graphs::GraphError`],
 //!   [`dcl_par::JobPanic`], scenario rejections such as
 //!   `dcl_delta::DeltaError` recoverable via [`RunError::rejection`], and —
-//!   through [`run_protected`] — the simulators' budget assertions).
+//!   through [`run_protected`] — the simulators' typed
+//!   [`dcl_sim::BudgetViolation`] and [`dcl_sim::TransportError`] panic
+//!   payloads).
 //!
 //! The [`wire`] module adds wire-serializable forms of both result types
 //! ([`WireReport`], [`WireRunError`]) so the service tier can ship them over

@@ -330,10 +330,18 @@ mod tests {
 
         let budget = RunError::Budget {
             model: Model::Mpc,
-            message: "machine 0 exceeded its send budget".to_string(),
+            violation: dcl_sim::BudgetViolation::MpcSend {
+                machine: 0,
+                budget: 16,
+            },
         };
         let wire = WireRunError::from(&budget);
         assert_eq!(wire.kind, RunErrorKind::Budget);
+        // The rendered message is the wire payload: pin it byte for byte.
+        assert_eq!(
+            wire.message,
+            "MPC resource budget violated: machine 0 exceeded its send budget of 16 words"
+        );
         roundtrip(wire);
     }
 

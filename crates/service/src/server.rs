@@ -255,14 +255,11 @@ impl Shared {
                 execute_request(&request, &self.config.limits)
             }))
             .unwrap_or_else(|payload| {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| String::from("<non-string panic payload>"));
                 Err(Reject::Run(WireRunError {
                     kind: RunErrorKind::Panic,
-                    message,
+                    message: dcl_par::panic_message(&*payload)
+                        .unwrap_or("<non-string panic payload>")
+                        .to_string(),
                 }))
             })
         };

@@ -7,6 +7,7 @@
 //! collective consults it, and the experiment harness sweeps it
 //! (`dcl_bench::e12_bandwidth_sweep`).
 
+use crate::budget::BudgetViolation;
 use crate::wire::bit_len;
 
 /// A per-message bandwidth cap in bits (always positive).
@@ -61,6 +62,20 @@ impl BandwidthCap {
     #[must_use]
     pub const fn fits(self, bits: u32) -> bool {
         bits <= self.bits
+    }
+
+    /// The strict-policy cap check on one `bits`-bit message of `model`:
+    /// raises [`BudgetViolation::Bandwidth`] if it does not fit.
+    #[inline]
+    pub fn enforce(self, bits: u32, model: &'static str) {
+        if !self.fits(bits) {
+            BudgetViolation::Bandwidth {
+                model,
+                bits,
+                cap: self.bits,
+            }
+            .raise();
+        }
     }
 
     /// Number of cap-sized physical messages a `bits`-bit logical payload

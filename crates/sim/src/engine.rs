@@ -360,27 +360,11 @@ impl RoundEngine {
                     return 1;
                 }
                 let bits = msg.wire_bits();
-                match policy {
-                    SendPolicy::Strict => {
-                        assert!(
-                            cap.fits(bits),
-                            "message of {bits} bits exceeds {} cap of {} bits",
-                            topo.model(),
-                            cap.bits()
-                        );
-                        local.messages += deg;
-                        local.bits += deg * u64::from(bits);
-                        local.max_message_bits = local.max_message_bits.max(bits);
-                        1
-                    }
-                    SendPolicy::Fragment => {
-                        let fragments = cap.fragments(bits);
-                        local.messages += deg * u64::from(fragments);
-                        local.bits += deg * u64::from(bits);
-                        local.max_message_bits = local.max_message_bits.max(bits.min(cap.bits()));
-                        fragments
-                    }
+                if policy == SendPolicy::Strict {
+                    cap.enforce(bits, topo.model());
                 }
+                // A payload that fits is one fragment: the strict charge.
+                local.account_fragmented_many(cap, deg, bits)
             },
         );
         metrics.rounds += u64::from(round_cost);

@@ -9,6 +9,8 @@
 //!   implements;
 //! - [`cap`] — [`BandwidthCap`]: the per-message bit cap with the paper's
 //!   default formula and the fragmentation rule for swept (small) caps;
+//! - [`budget`] — [`BudgetViolation`]: the typed panic payload every
+//!   model-budget check (bandwidth cap, MPC words, Lenzen routing) raises;
 //! - [`metrics`] — [`SimMetrics`]: rounds / messages / bits /
 //!   max-message-width counters with the chunk-ordered parallel reduction;
 //! - [`topology`] — the [`Topology`] policy trait (neighbor-only delivery
@@ -56,6 +58,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod budget;
 pub mod cap;
 pub mod deadline;
 pub mod engine;
@@ -65,9 +68,10 @@ pub mod topology;
 pub mod transport;
 pub mod wire;
 
-#[cfg(feature = "test-util")]
+#[cfg(any(test, feature = "test-util"))]
 pub mod test_util;
 
+pub use budget::BudgetViolation;
 pub use cap::BandwidthCap;
 pub use dcl_par::{Backend, Pool};
 pub use deadline::Deadline;

@@ -39,14 +39,11 @@ impl SimMetrics {
     ///
     /// # Panics
     ///
-    /// Panics if `bits` exceeds the cap; `model` names the model in the
-    /// message ("CONGEST", "clique", …).
-    pub fn account(&mut self, cap: BandwidthCap, bits: u32, model: &str) {
-        assert!(
-            cap.fits(bits),
-            "message of {bits} bits exceeds {model} cap of {} bits",
-            cap.bits()
-        );
+    /// Raises [`BudgetViolation::Bandwidth`](crate::BudgetViolation) if
+    /// `bits` exceeds the cap; `model` names the model ("CONGEST",
+    /// "clique", …).
+    pub fn account(&mut self, cap: BandwidthCap, bits: u32, model: &'static str) {
+        cap.enforce(bits, model);
         self.messages += 1;
         self.bits += u64::from(bits);
         self.max_message_bits = self.max_message_bits.max(bits);
@@ -168,10 +165,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds demo cap")]
     fn account_panics_over_cap() {
         let mut m = SimMetrics::default();
-        m.account(BandwidthCap::new(4), 5, "demo");
+        let violation = crate::test_util::expect_budget_violation(|| {
+            m.account(BandwidthCap::new(4), 5, "demo")
+        });
+        assert_eq!(
+            violation,
+            crate::BudgetViolation::Bandwidth {
+                model: "demo",
+                bits: 5,
+                cap: 4
+            }
+        );
     }
 
     #[test]

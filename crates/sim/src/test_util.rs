@@ -1,4 +1,4 @@
-//! Backend-equivalence property-test helpers (feature `test-util`).
+//! Test helpers (feature `test-util`).
 //!
 //! The three per-model `tests/backend_equivalence.rs` suites assert the same
 //! contract — the parallel backend produces bit-identical results to the
@@ -9,9 +9,28 @@
 //! Helpers return `Result<(), String>` rather than panicking so the
 //! `proptest!` suites can surface the generated inputs on failure
 //! (`.map_err(TestCaseError::Fail)`).
+//!
+//! [`expect_budget_violation`] stands in for `#[should_panic]`, which only
+//! matches string payloads.
 
+use crate::budget::BudgetViolation;
 use dcl_par::Backend;
 use std::fmt::Debug;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Runs `f`, which must raise a [`BudgetViolation`], and returns it.
+pub fn expect_budget_violation<R>(f: impl FnOnce() -> R) -> BudgetViolation {
+    let payload = catch_unwind(AssertUnwindSafe(f))
+        .err()
+        .expect("expected a budget violation, but the call returned");
+    match payload.downcast::<BudgetViolation>() {
+        Ok(violation) => *violation,
+        Err(other) => panic!(
+            "expected a budget violation, got {:?}",
+            dcl_par::panic_message(&*other)
+        ),
+    }
+}
 
 /// Runs `run` under the sequential backend and under `Parallel(threads)` and
 /// asserts the outputs are identical (the determinism contract of

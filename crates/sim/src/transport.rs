@@ -19,9 +19,10 @@
 //! lists *sorted by sender with per-link FIFO order* — exactly the order of
 //! the engine's sequential inbox merge — and under
 //! [`SendPolicy::Strict`] every tier enforces the [`BandwidthCap`] on the
-//! frame's *declared model bits* with the simulated tier's exact assertion
-//! wording, so an oversend classifies as the same typed budget error no
-//! matter which tier caught it. Actual bytes on the wire are *metered* (in
+//! frame's *declared model bits* through the simulated tier's
+//! [`BandwidthCap::enforce`], so an oversend raises the same
+//! [`BudgetViolation`](crate::BudgetViolation) no matter which tier caught
+//! it. Actual bytes on the wire are *metered* (in
 //! [`TransportStats`]) rather than gated: any self-delimiting codec pays
 //! `O(1)` bits of overhead per value over the information-theoretic widths
 //! the cost model charges, so gating physical bytes would panic where the
@@ -140,7 +141,7 @@ pub struct RoundLimits {
     /// Whether oversized payloads are violations ([`SendPolicy::Strict`])
     /// or fragment logically ([`SendPolicy::Fragment`]).
     pub policy: SendPolicy,
-    /// Model name used in the budget assertion ("CONGEST", "clique", …).
+    /// Model name carried by a cap violation ("CONGEST", "clique", …).
     pub model: &'static str,
 }
 
@@ -331,10 +332,10 @@ impl FrameReader {
 ///    sequential inbox merge, making delivery bit-identical to the
 ///    [`LocalTransport`] reference.
 /// 3. Under [`SendPolicy::Strict`] with a cap, `send` enforces the cap on
-///    the frame's `declared_bits` with the simulated tier's exact
-///    assertion wording (so the failure classifies as the same typed
-///    budget error); physical bytes are metered in [`TransportStats`],
-///    never gated.
+///    the frame's `declared_bits` with the simulated tier's
+///    [`BandwidthCap::enforce`] (so the failure is the same typed
+///    [`BudgetViolation`](crate::BudgetViolation)); physical bytes are
+///    metered in [`TransportStats`], never gated.
 /// 4. A broken or closed peer surfaces as `Err(TransportError)` — never a
 ///    hang (socket reads and accepts carry deadlines).
 pub trait Transport: std::fmt::Debug {
@@ -356,8 +357,9 @@ pub trait Transport: std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Panics with the model's budget assertion if the frame's declared
-    /// bits exceed the round's cap under [`SendPolicy::Strict`].
+    /// Raises [`BudgetViolation::Bandwidth`](crate::BudgetViolation) if the
+    /// frame's declared bits exceed the round's cap under
+    /// [`SendPolicy::Strict`].
     fn send(&mut self, from: usize, to: usize, frame: Frame) -> Result<(), TransportError>;
 
     /// Completes the round and returns the per-recipient `(sender, frame)`
@@ -374,19 +376,13 @@ pub trait Transport: std::fmt::Debug {
     fn close_endpoint(&mut self, _v: usize) {}
 }
 
-/// Enforces the round's cap on declared bits (Strict only, identical
-/// wording to `SimMetrics::account`) and meters the frame. Shared by every
-/// tier so enforcement and metering cannot drift apart.
+/// Enforces the round's cap on declared bits (Strict only, the same
+/// [`BandwidthCap::enforce`] as `SimMetrics::account`) and meters the frame.
+/// Shared by every tier so enforcement and metering cannot drift apart.
 fn meter_send(stats: &mut TransportStats, limits: &RoundLimits, frame: &Frame) {
     if limits.policy == SendPolicy::Strict {
         if let Some(cap) = limits.cap {
-            let bits = frame.declared_bits;
-            assert!(
-                cap.fits(bits),
-                "message of {bits} bits exceeds {} cap of {} bits",
-                limits.model,
-                cap.bits()
-            );
+            cap.enforce(frame.declared_bits, limits.model);
         }
     }
     let mtu = limits
@@ -990,7 +986,7 @@ mod tests {
     }
 
     #[test]
-    fn strict_cap_violation_uses_the_budget_wording_on_every_tier() {
+    fn strict_cap_violation_raises_the_same_budget_violation_on_every_tier() {
         for spec in TransportSpec::all() {
             let mut transport = spec.build(2);
             transport.begin_round(&RoundLimits {
@@ -998,13 +994,16 @@ mod tests {
                 policy: SendPolicy::Strict,
                 model: "CONGEST",
             });
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let violation = crate::test_util::expect_budget_violation(|| {
                 let _ = transport.send(0, 1, frame(9, &[0xFF, 0x01]));
-            }))
-            .unwrap_err();
-            let message = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            });
             assert_eq!(
-                message, "message of 9 bits exceeds CONGEST cap of 8 bits",
+                violation,
+                crate::BudgetViolation::Bandwidth {
+                    model: "CONGEST",
+                    bits: 9,
+                    cap: 8
+                },
                 "{spec}"
             );
         }

@@ -43,15 +43,9 @@ fn round_panic_message(
         )
     }));
     result.err().map(|payload| {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| {
-                payload
-                    .downcast_ref::<&'static str>()
-                    .map(|s| s.to_string())
-            })
-            .unwrap_or_else(|| "<non-string panic payload>".into())
+        dcl_par::panic_message(&*payload)
+            .unwrap_or("<non-string panic payload>")
+            .to_string()
     })
 }
 

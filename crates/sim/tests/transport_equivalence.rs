@@ -10,8 +10,8 @@
 use dcl_graphs::{generators, Graph};
 use dcl_par::Backend;
 use dcl_sim::{
-    AllPairsTopology, BandwidthCap, Inboxes, MachineTopology, NeighborTopology, RoundEngine,
-    SendPolicy, SimMetrics, Topology, TransportSpec, TransportStats,
+    AllPairsTopology, BandwidthCap, BudgetViolation, Inboxes, MachineTopology, NeighborTopology,
+    RoundEngine, SendPolicy, SimMetrics, Topology, TransportSpec, TransportStats,
 };
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -154,8 +154,8 @@ proptest! {
     }
 }
 
-/// A strict-policy cap violation panics with the identical, byte-for-byte
-/// assertion message whether the round ships through memory, channels, or
+/// A strict-policy cap violation raises the identical typed
+/// [`BudgetViolation`] whether the round ships through memory, channels, or
 /// sockets — the panic fires at validation time, before any tier-specific
 /// code runs.
 #[test]
@@ -178,14 +178,18 @@ fn cap_violation_panics_identically_on_every_tier() {
         }));
         let payload = result
             .expect_err("a 64-bit payload must violate the 4-bit cap")
-            .downcast_ref::<String>()
-            .cloned()
-            .expect("cap assertions carry String payloads");
+            .downcast_ref::<BudgetViolation>()
+            .copied()
+            .expect("cap violations carry BudgetViolation payloads");
         payloads.push(payload);
     }
     assert_eq!(
         payloads[0],
-        "message of 64 bits exceeds CONGEST cap of 4 bits"
+        BudgetViolation::Bandwidth {
+            model: "CONGEST",
+            bits: 64,
+            cap: 4
+        }
     );
     assert!(
         payloads.windows(2).all(|w| w[0] == w[1]),
